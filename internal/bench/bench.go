@@ -67,6 +67,7 @@ type pipeFix struct {
 
 var (
 	pipeOnce sync.Once
+	pipeErr  error
 	pipe     *pipeFix
 )
 
@@ -75,7 +76,11 @@ func pipeFixture(b *testing.B) *pipeFix {
 	pipeOnce.Do(func() {
 		w := world.Generate(world.DefaultConfig(0.2))
 		c := webtable.Synthesize(w, webtable.DefaultSynthConfig(0.12))
-		byClass, _ := core.ClassifyTables(context.Background(), w.KB, c, 0.3, 0)
+		byClass, err := core.ClassifyTables(context.Background(), w.KB, c, 0.3, 0)
+		if err != nil {
+			pipeErr = fmt.Errorf("classify tables: %w", err)
+			return
+		}
 		tables := byClass[kb.ClassGFPlayer]
 		builder := &cluster.Builder{KB: w.KB, Corpus: c, Class: kb.ClassGFPlayer}
 		rows := builder.Build(tables)
@@ -92,6 +97,9 @@ func pipeFixture(b *testing.B) *pipeFix {
 			},
 		}
 	})
+	if pipeErr != nil {
+		b.Fatalf("cluster fixture: %v", pipeErr)
+	}
 	if len(pipe.rows) == 0 {
 		b.Fatal("cluster fixture: no rows")
 	}
@@ -129,8 +137,10 @@ var (
 
 func ingestFixture(b *testing.B) *ingestFix {
 	b.Helper()
+	// The shared fixture is fetched outside the Once: its b.Fatal must not
+	// leave this Once done with no fixture.
+	f := pipeFixture(b)
 	ingestOnce.Do(func() {
-		f := pipeFixture(b)
 		if len(f.tables) < 2 {
 			ingestErr = fmt.Errorf("ingest fixture: only %d tables", len(f.tables))
 			return
@@ -140,7 +150,10 @@ func ingestFixture(b *testing.B) *ingestFix {
 		eng := core.NewEngine(cfg, core.Models{})
 		eng.WriteBack = false // keep the shared fixture KB pristine
 		half := len(f.tables) / 2
-		eng.Ingest(context.Background(), f.tables[:half])
+		if _, _, err := eng.Ingest(context.Background(), f.tables[:half]); err != nil {
+			ingestErr = fmt.Errorf("warm ingest: %w", err)
+			return
+		}
 		ingest = &ingestFix{base: eng, second: f.tables[half:]}
 	})
 	if ingestErr != nil {
@@ -158,7 +171,10 @@ func IngestBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := f.base.Fork()
 		//lteelint:ignore ctxflow benchmark body; testing.B carries no context and the run must not be cancellable
-		out, _, _ := eng.Ingest(context.Background(), f.second)
+		out, _, err := eng.Ingest(context.Background(), f.second)
+		if err != nil {
+			b.Fatalf("ingest: %v", err)
+		}
 		if len(out.Entities) == 0 {
 			b.Fatal("no entities")
 		}
@@ -182,8 +198,8 @@ var (
 
 func serveFixture(b *testing.B) *serveFix {
 	b.Helper()
+	f := pipeFixture(b)
 	serveOnce.Do(func() {
-		f := pipeFixture(b)
 		cfg := core.DefaultConfig(f.w.KB, f.corpus, kb.ClassGFPlayer)
 		cfg.Iterations = 1
 		cached, err := serve.New(serve.Config{

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,12 +90,16 @@ type Engine struct {
 	// batch actually touched — the bulk of the retained state passes
 	// through unchanged, and without the memos every epoch re-fuses and
 	// re-detects all of it (the dominant super-linear term at scale).
-	// Entries are valid only while the KB version they were computed at
-	// stands, and only for clusters made entirely of retained rows; both
-	// maps are swept to the live cluster set each pass. See createEntities
-	// for the exactness argument.
+	// Both hold only clusters made entirely of retained rows and are swept
+	// to the live cluster set each pass. An entMemo entry is valid while
+	// the KB version it was computed at stands (see createEntities); a
+	// detMemo entry stays valid across KB versions for as long as the
+	// entity's candidate list is unchanged (see detectEntities).
 	entMemo map[string]entMemoEntry
 	detMemo map[string]detMemoEntry
+	// revalidated counts detMemo entries reused after a KB version change
+	// because the entity's candidate list was unchanged.
+	revalidated int
 }
 
 // entMemoEntry is one memoized entity: the canonical *Entity created for a
@@ -105,11 +111,14 @@ type entMemoEntry struct {
 	ent       *fusion.Entity
 }
 
-// detMemoEntry is one memoized detection result. Valid while the KB
-// version stands; the detector configuration (thresholds, aggregator,
-// metrics) is fixed for an engine's lifetime, as with all Models.
+// detMemoEntry is one memoized detection result with the ordered candidate
+// list it was scored against. It is valid at kbVersion, and at any later
+// version at which the entity retrieves the same list; the detector
+// configuration (thresholds, aggregator, metrics) is fixed for an engine's
+// lifetime, as with all Models.
 type detMemoEntry struct {
 	kbVersion uint64
+	cands     []kb.InstanceID
 	res       newdet.Result
 }
 
@@ -146,6 +155,10 @@ type IngestStats struct {
 	WrittenBack int
 	// KBInstances is the KB instance count after write-back.
 	KBInstances int
+	// Iterations is the number of pipeline iterations the epoch ran to
+	// completion: Config.Iterations, or fewer when a mapping fixpoint
+	// ended the epoch early (see Ingest).
+	Iterations int
 }
 
 // NewEngine builds an incremental ingestion engine with write-back enabled.
@@ -443,11 +456,24 @@ func (e *Engine) Fork() *Engine {
 }
 
 // Ingest processes one batch of tables (all matched to the engine's class):
-// it runs the configured number of pipeline iterations scoped to the
-// batch's not-yet-ingested tables, clusters their rows against the
-// retained state, re-creates and re-detects entities over everything
-// ingested so far, persists the grown state, and (unless WriteBack is
-// off) writes entities classified as new back into the KB.
+// it runs up to the configured number of pipeline iterations scoped to the
+// batch's not-yet-ingested tables, stopping at a mapping fixpoint, clusters
+// their rows against the retained state, re-creates and re-detects entities
+// over everything ingested so far, persists the grown state, and (unless
+// WriteBack is off) writes entities classified as new back into the KB.
+//
+// Mapping fixpoint: once an iteration after the first has matched the
+// batch, its attribute-to-property mapping is compared with the previous
+// iteration's. When every batch table maps identically, the epoch keeps the
+// previous iteration's output with this iteration's match scores and skips
+// the remaining stages and iterations. That is exact: row building,
+// clustering, entity creation and detection read only the mapping, the
+// retained state and the KB, none of which changed (nothing is written back
+// mid-epoch, and re-adding the batch to the blocking and PHI statistics is
+// idempotent). Match scores feed entity creation only under
+// fusion.Matching, so under that scoring the batch's scores must be equal
+// too. Any further iteration would receive the same input, so it is
+// skipped as well.
 //
 // The returned Output always covers all tables ingested so far, so a
 // single full-corpus batch is exactly a Pipeline.Run.
@@ -480,36 +506,26 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 
 	var out *Output
 	var grown *cluster.Incremental
+	ran := 0
 	for it := 0; it < e.Cfg.Iterations; it++ {
 		if err := ctx.Err(); err != nil {
 			return nil, IngestStats{}, err
 		}
-		model := e.Models.AttrFirst
-		matchers := match.FirstIterationMatchers()
-		mctx := mc
-		if it > 0 && out != nil {
-			model = e.Models.AttrSecond
-			matchers = match.AllMatchers()
-			prelim := make(map[match.ColRef]kb.PropertyID)
-			for tid, m := range out.Mapping {
-				for col, pid := range m {
-					prelim[match.ColRef{Table: tid, Col: col}] = pid
-				}
-			}
-			rowCluster := make(map[webtable.RowRef]int, len(out.Clustering.Assign))
-			for ref, c := range out.Clustering.Assign {
-				rowCluster[ref] = c
-			}
-			mctx = mc.WithIterationOutput(out.RowInstance, rowCluster, prelim)
-		}
-		if model == nil {
-			model = match.DefaultModel(e.Cfg.Class, matchers)
-		}
-		var err error
-		out, grown, err = e.iterate(ctx, it+1, mctx, model, matchers, newIDs)
+		model, matchers, mctx := e.passInputs(mc, out)
+		next, err := e.matchBatch(ctx, it+1, mctx, model, matchers, newIDs)
 		if err != nil {
 			return nil, IngestStats{}, err
 		}
+		// Mapping fixpoint: keep the previous pass with this pass's scores.
+		if out != nil && sameBatchMatch(out, next, newIDs, e.Cfg.Scoring == fusion.Matching) {
+			out.MatchScores = next.MatchScores
+			break
+		}
+		if grown, err = e.finishIteration(ctx, it+1, next, newIDs); err != nil {
+			return nil, IngestStats{}, err
+		}
+		out = next
+		ran++
 	}
 
 	// Last checkpoint before the commit point: past here the epoch is
@@ -542,6 +558,7 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 		NewEntities: len(out.NewEntities()),
 		WrittenBack: written,
 		KBInstances: e.Cfg.KB.NumInstances(),
+		Iterations:  ran,
 	}
 	for _, d := range out.Detections {
 		if d.Matched {
@@ -557,16 +574,45 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 	return out, stats, nil
 }
 
-// iterate performs one pass of the epoch: schema matching over the new
-// tables, row building for them, incremental clustering against a clone of
-// the retained state, then entity creation and new detection over the full
-// ingested set. With empty retained state and newIDs covering the whole
-// corpus this is exactly one pre-refactor pipeline iteration.
+// passInputs returns the matching model, matchers and context of the pass
+// following prev (nil for the first pass): the first pass matches with the
+// KB-only matchers, later passes with all matchers over the previous pass's
+// clusters and instance correspondences.
+func (e *Engine) passInputs(mc *match.Context, prev *Output) (*match.Model, []match.Matcher, *match.Context) {
+	model := e.Models.AttrFirst
+	matchers := match.FirstIterationMatchers()
+	mctx := mc
+	if prev != nil {
+		model = e.Models.AttrSecond
+		matchers = match.AllMatchers()
+		prelim := make(map[match.ColRef]kb.PropertyID)
+		for tid, m := range prev.Mapping {
+			for col, pid := range m {
+				prelim[match.ColRef{Table: tid, Col: col}] = pid
+			}
+		}
+		rowCluster := make(map[webtable.RowRef]int, len(prev.Clustering.Assign))
+		for ref, c := range prev.Clustering.Assign {
+			rowCluster[ref] = c
+		}
+		mctx = mc.WithIterationOutput(prev.RowInstance, rowCluster, prelim)
+	}
+	if model == nil {
+		model = match.DefaultModel(e.Cfg.Class, matchers)
+	}
+	return model, matchers, mctx
+}
+
+// matchBatch starts one pass of the epoch: schema matching over the new
+// tables. It returns an Output holding the full mapping and match scores
+// (retained tables keep their own), which finishIteration completes. With
+// empty retained state and newIDs covering the whole corpus, the two make
+// exactly one pipeline iteration.
 //
 // it is the 1-based iteration number, used only for progress events.
-// Cancellation mid-iterate abandons the pass before anything is committed;
-// see Ingest for the consistency argument.
-func (e *Engine) iterate(ctx context.Context, it int, mctx *match.Context, model *match.Model, matchers []match.Matcher, newIDs []int) (*Output, *cluster.Incremental, error) {
+// Cancellation mid-pass abandons it before anything is committed; see
+// Ingest for the consistency argument.
+func (e *Engine) matchBatch(ctx context.Context, it int, mctx *match.Context, model *match.Model, matchers []match.Matcher, newIDs []int) (*Output, error) {
 	allIDs := sortedTableIDs(append(append([]int(nil), e.tableIDs...), newIDs...))
 	out := &Output{
 		Class:       e.Cfg.Class,
@@ -598,7 +644,7 @@ func (e *Engine) iterate(ctx context.Context, it int, mctx *match.Context, model
 		return match.MatchAttributesScored(mctx, model, matchers, t)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i, tid := range newIDs {
 		if e.Cfg.Corpus.Table(tid) == nil {
@@ -612,7 +658,37 @@ func (e *Engine) iterate(ctx context.Context, it int, mctx *match.Context, model
 		}
 		out.Mapping[tid] = m
 	}
+	return out, nil
+}
 
+// sameBatchMatch reports whether two passes of an epoch matched every batch
+// table to the same mapping (and, when scores is set, with the same match
+// scores) — the fixpoint at which Ingest stops iterating. Retained tables
+// carry identical entries in both passes by construction.
+func sameBatchMatch(prev, next *Output, newIDs []int, scores bool) bool {
+	for _, tid := range newIDs {
+		pm, nm := prev.Mapping[tid], next.Mapping[tid]
+		if !maps.Equal(pm, nm) {
+			return false
+		}
+		if !scores {
+			continue
+		}
+		for col := range nm {
+			key := fusion.ColKey{Table: tid, Col: col}
+			if prev.MatchScores[key] != next.MatchScores[key] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// finishIteration completes a pass begun by matchBatch: row building for
+// the new tables, incremental clustering against a clone of the retained
+// state, then entity creation and new detection over the full ingested
+// set. It fills out and returns the grown clustering.
+func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newIDs []int) (*cluster.Incremental, error) {
 	// Row building for the new tables; retained rows are reused as built
 	// (their tables' mapping did not change). Blocking and PHI statistics
 	// persist across epochs: new rows block against every label seen so
@@ -644,13 +720,13 @@ func (e *Engine) iterate(ctx context.Context, it int, mctx *match.Context, model
 	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageCluster, Count: len(newRows)})
 	grown := e.clusters.Clone()
 	if err := grown.Add(ctx, newRows); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out.Clustering = grown.Result()
 
 	// Entity creation over every cluster, retained and new.
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageFuse, Count: len(out.Clustering.Clusters)})
 	src := &fusion.Sources{
@@ -682,7 +758,7 @@ func (e *Engine) iterate(ctx context.Context, it int, mctx *match.Context, model
 	// in entity order.
 	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageDetect, Count: len(out.Entities)})
 	if err := e.detectEntities(ctx, out, retained); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i, ent := range out.Entities {
 		if res := out.Detections[i]; res.Matched {
@@ -691,7 +767,7 @@ func (e *Engine) iterate(ctx context.Context, it int, mctx *match.Context, model
 			}
 		}
 	}
-	return out, grown, nil
+	return grown, nil
 }
 
 // createEntities is fusion.CreateAll with a memo over cluster membership:
@@ -752,12 +828,18 @@ func (e *Engine) createEntities(src *fusion.Sources, cl *cluster.Clustering, ret
 }
 
 // detectEntities fills out.Detections for out.Entities, reusing memoized
-// results for entities whose cluster membership was already classified at
-// the current KB version. Result is a plain value (no entity identity), the
-// detector reads only the entity's immutable innards and the KB, and the
-// detector's configuration is fixed for the engine's lifetime — so a
-// membership+version hit is exact. Misses fan out over the worker pool and
-// are written back serially.
+// results for entities whose cluster membership was already classified.
+// Result is a plain value (no entity identity), and the detector's
+// configuration is fixed for the engine's lifetime. A hit at the current KB
+// version is served directly. After the KB grew (write-back), an entry is
+// revalidated instead: the entity's candidates are recomputed, and an
+// unchanged ordered list means an unchanged result. An all-retained
+// cluster yields the same entity at every KB version (entity creation
+// reads only the class schema from the KB), and detection reads only the
+// entity's immutable innards, the candidate list (from which the
+// popularity ranks are built), the candidates' immutable instance data and
+// the static class hierarchy. Misses fan out over the worker pool and are
+// written back serially.
 func (e *Engine) detectEntities(ctx context.Context, out *Output, retained map[*cluster.Row]bool) error {
 	out.Detections = make([]newdet.Result, len(out.Entities))
 	if retained == nil {
@@ -790,15 +872,31 @@ func (e *Engine) detectEntities(ctx context.Context, out *Output, retained map[*
 		}
 		missIdx = append(missIdx, i)
 	}
+	cands := make([][]kb.InstanceID, len(missIdx))
+	reused := make([]bool, len(missIdx))
 	if err := par.ForEachCtx(ctx, e.Cfg.Workers, len(missIdx), func(j int) {
 		i := missIdx[j]
-		out.Detections[i] = e.detector.Detect(out.Entities[i])
+		ent := out.Entities[i]
+		if keys[i] == "" {
+			out.Detections[i] = e.detector.Detect(ent)
+			return
+		}
+		cands[j] = e.detector.Candidates(ent)
+		if m, ok := e.detMemo[keys[i]]; ok && slices.Equal(m.cands, cands[j]) {
+			out.Detections[i], reused[j] = m.res, true
+			return
+		}
+		out.Detections[i] = e.detector.DetectAmong(ent, cands[j])
 	}); err != nil {
 		return err
 	}
-	for _, i := range missIdx {
-		if keys[i] != "" {
-			next[keys[i]] = detMemoEntry{kbVersion: kbVer, res: out.Detections[i]}
+	for j, i := range missIdx {
+		if keys[i] == "" {
+			continue
+		}
+		next[keys[i]] = detMemoEntry{kbVersion: kbVer, cands: cands[j], res: out.Detections[i]}
+		if reused[j] {
+			e.revalidated++
 		}
 	}
 	e.detMemo = next

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fusion"
 	"repro/internal/kb"
+	"repro/internal/match"
 )
 
 // exactPaths forces both LSH retrieval layers (clustering block assignment
@@ -110,5 +112,81 @@ func TestLSHEquivalenceOverScenarios(t *testing.T) {
 		if !reflect.DeepEqual(lsh.RowInstance, exact.RowInstance) {
 			t.Errorf("%s: row-instance mapping differs between LSH and exact paths", class)
 		}
+	}
+}
+
+// fullEpoch runs the next epoch of f without Ingest's shortcuts: every
+// configured iteration in full, and every entity detected from scratch.
+// f must be a throwaway fork; nothing is committed or written back.
+func fullEpoch(t *testing.T, f *Engine, batch []int) *Output {
+	t.Helper()
+	newIDs := f.newTableIDs(batch)
+	f.cur = f.epoch + 1
+	mc := match.NewContext(f.Cfg.KB, f.Cfg.Corpus)
+	mc.Class = f.Cfg.Class
+	var out *Output
+	for it := 0; it < f.Cfg.Iterations; it++ {
+		f.detMemo = make(map[string]detMemoEntry)
+		model, matchers, mctx := f.passInputs(mc, out)
+		next, err := f.matchBatch(t.Context(), it+1, mctx, model, matchers, newIDs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.finishIteration(t.Context(), it+1, next, newIDs); err != nil {
+			t.Fatal(err)
+		}
+		out = next
+	}
+	return out
+}
+
+// TestEpochShortcutsMatchFullRecompute streams every seed scenario class
+// through a write-back engine in small batches and requires each epoch's
+// published output to equal a reference epoch computed on a fork with
+// every iteration run in full and every entity detected from scratch. It
+// also requires that both shortcuts fired: an epoch ending at a mapping
+// fixpoint, and a detection reused after a write-back because its
+// candidate list was unchanged.
+func TestEpochShortcutsMatchFullRecompute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams every scenario class twice; skipped in -short")
+	}
+	fixpoints, revalidated := 0, 0
+	// Matching scoring makes entity creation read the match scores, so the
+	// fixpoint must also compare them.
+	for _, scoring := range []fusion.ScoringMethod{fusion.Voting, fusion.Matching} {
+		w, corpus := engineFixture(t)
+		byClass := classify(w.KB, corpus)
+		for _, class := range kb.EvalClasses() {
+			tids := byClass[class]
+			cfg := DefaultConfig(w.KB, corpus, class)
+			cfg.Scoring = scoring
+			eng := NewEngine(cfg, Models{})
+			for lo := 0; lo < len(tids); lo += 4 {
+				batch := tids[lo:min(lo+4, len(tids))]
+				ref := eng.Fork()
+				ref.WriteBack = false
+				want := fullEpoch(t, ref, batch)
+
+				got, st, err := eng.Ingest(t.Context(), batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s (scoring %v) epoch %d: output differs from the full recompute", class, scoring, st.Epoch)
+				}
+				if st.Iterations < cfg.Iterations {
+					fixpoints++
+				}
+			}
+			revalidated += eng.revalidated
+		}
+	}
+	t.Logf("fixpoint epochs %d, revalidated detections %d", fixpoints, revalidated)
+	if fixpoints == 0 {
+		t.Error("no epoch stopped at a mapping fixpoint")
+	}
+	if revalidated == 0 {
+		t.Error("no detection was reused by candidate revalidation")
 	}
 }

@@ -5,7 +5,9 @@ import "repro/internal/kb"
 // Stage names one phase of a pipeline epoch (or of training) for progress
 // reporting. The stages of an ingest epoch fire in order, once per
 // iteration: StageMatch, StageBuild, StageCluster, StageFuse, StageDetect,
-// and then StageWriteBack once per epoch (when write-back is enabled).
+// and then StageWriteBack once per epoch (when write-back is enabled). An
+// iteration that reaches the mapping fixpoint (see Engine.Ingest) fires
+// only StageMatch and ends the epoch's iterations.
 type Stage string
 
 const (

@@ -96,9 +96,19 @@ func NewDetector(k *kb.KB, aggr agg.Aggregator) *Detector {
 }
 
 // Detect classifies one entity: candidate selection, per-candidate
-// aggregated similarity, then threshold classification.
+// aggregated similarity, then threshold classification. It is
+// DetectAmong(e, d.Candidates(e)).
 func (d *Detector) Detect(e *fusion.Entity) Result {
-	best, bestScore := d.BestCandidate(e)
+	return d.DetectAmong(e, d.Candidates(e))
+}
+
+// DetectAmong classifies an entity against a given candidate list, which
+// must be the list Candidates returned for it. The result depends only on
+// the entity, the ordered list (the POPULARITY ranks are built from it)
+// and immutable instance data, so a caller that finds an entity's
+// candidate list unchanged after the KB grew may keep its earlier result.
+func (d *Detector) DetectAmong(e *fusion.Entity, cands []kb.InstanceID) Result {
+	best, bestScore := d.bestAmong(e, cands)
 	if best < 0 {
 		return Result{IsNew: true, BestScore: -1}
 	}
@@ -115,7 +125,10 @@ func (d *Detector) Detect(e *fusion.Entity) Result {
 // BestCandidate returns the best-matching candidate instance and its
 // aggregated score, or (-1, 0) when no candidates exist.
 func (d *Detector) BestCandidate(e *fusion.Entity) (kb.InstanceID, float64) {
-	cands := d.candidates(e)
+	return d.bestAmong(e, d.Candidates(e))
+}
+
+func (d *Detector) bestAmong(e *fusion.Entity, cands []kb.InstanceID) (kb.InstanceID, float64) {
 	if len(cands) == 0 {
 		return -1, 0
 	}
@@ -145,10 +158,11 @@ func (d *Detector) Score(env *Env, e *fusion.Entity, inst kb.InstanceID) float64
 	return score
 }
 
-// candidates finds candidate instances for all entity labels with the class
-// restriction of §3.4 (same class or sharing a parent class). Per-label
-// lookups are memoized until the KB grows.
-func (d *Detector) candidates(e *fusion.Entity) []kb.InstanceID {
+// Candidates finds candidate instances for all entity labels with the class
+// restriction of §3.4 (same class or sharing a parent class), in label
+// order without duplicates. Per-label lookups are memoized until the KB
+// grows; the returned slice is freshly allocated and owned by the caller.
+func (d *Detector) Candidates(e *fusion.Entity) []kb.InstanceID {
 	seen := make(map[kb.InstanceID]bool)
 	var out []kb.InstanceID
 	for _, label := range e.Labels {
@@ -210,7 +224,7 @@ func LearnAggregator(k *kb.KB, metrics []Metric, examples []Example, seed int64)
 	d := &Detector{KB: k, Metrics: metrics, Thresholds: dtype.DefaultThresholds(), CandidateK: 20}
 	var pairs []agg.Example
 	for _, ex := range examples {
-		cands := d.candidates(ex.Entity)
+		cands := d.Candidates(ex.Entity)
 		if !ex.IsNew {
 			found := false
 			for _, c := range cands {

@@ -104,7 +104,7 @@ func TestServeLifecycle(t *testing.T) {
 
 	// Ingest the first half of the tables and check the epoch's effects.
 	jv := ingestWait(t, s, tables[:lo])
-	if jv.Stats == nil || jv.Stats.Epoch != 1 || jv.Stats.WrittenBack == 0 {
+	if jv.Stats == nil || jv.Stats.Epoch != 1 || jv.Stats.WrittenBack == 0 || jv.Stats.Iterations == 0 {
 		t.Fatalf("ingest stats = %+v", jv.Stats)
 	}
 	written := jv.Stats.KBInstances - jv.Stats.WrittenBack // first written-back ID
@@ -129,8 +129,8 @@ func TestServeLifecycle(t *testing.T) {
 	if st1.Classes["dbo:GridironFootballPlayer"].Epoch != 1 {
 		t.Errorf("stats classes = %+v", st1.Classes)
 	}
-	if len(st1.Classes["dbo:GridironFootballPlayer"].History) != 1 {
-		t.Errorf("stats history = %+v", st1.Classes)
+	if h := st1.Classes["dbo:GridironFootballPlayer"].History; len(h) != 1 || h[0].Iterations != jv.Stats.Iterations {
+		t.Errorf("stats history = %+v, want one epoch of %d iterations", h, jv.Stats.Iterations)
 	}
 
 	// Fuzzy search finds the written-back instance by its own label and by
