@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/gold"
@@ -99,6 +100,78 @@ func TestIngestCancelledCommitsNothing(t *testing.T) {
 			}
 			outputsEqual(t, refOut, out)
 		})
+	}
+}
+
+// TestIngestCancelledLaterEpoch cancels later epochs of a write-back
+// engine, where retained clusters exist, the KB has grown and the entity
+// and detection memo is live. Each later epoch is cancelled on a fork at
+// two stages: detection in the first iteration (the memo must not commit
+// entities without their detections) and entity creation in the second
+// (after the first iteration committed its memo). A cancelled epoch
+// publishes nothing and leaves the KB as it was, and retrying the batch
+// must reproduce the output of an uncancelled fork exactly. The forks do
+// not write back, so the streaming engine's KB only grows by its own
+// epochs. A stage that a mapping fixpoint skips never fires; that epoch
+// then completes and must match the uncancelled fork as well.
+func TestIngestCancelledLaterEpoch(t *testing.T) {
+	w, corpus := engineFixture(t)
+	tables := classify(w.KB, corpus)[kb.ClassGFPlayer]
+	eng := NewEngine(DefaultConfig(w.KB, corpus, kb.ClassGFPlayer), Models{})
+	batches := splitBatches(tables, 4)
+	if _, _, err := eng.Ingest(t.Context(), batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	cancelled := map[Stage]int{}
+	for i, batch := range batches[1:] {
+		epoch := i + 2
+		for _, tc := range []struct {
+			stage Stage
+			it    int
+		}{{StageDetect, 1}, {StageFuse, 2}} {
+			ref := eng.Fork()
+			ref.WriteBack = false
+			want, _, err := ref.Ingest(t.Context(), batch)
+			if err != nil {
+				t.Fatalf("reference ingest: %v", err)
+			}
+
+			ctx, cancel := context.WithCancel(t.Context())
+			f := eng.Fork()
+			f.WriteBack = false
+			f.Cfg.Progress = cancelAt(cancel, tc.stage, tc.it)
+			kbVer := w.KB.Version()
+			got, _, err := f.Ingest(ctx, batch)
+			fired := ctx.Err() != nil
+			cancel()
+			if fired {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("epoch %d, cancel at %s/it%d: err = %v, want context.Canceled", epoch, tc.stage, tc.it, err)
+				}
+				cancelled[tc.stage]++
+				if f.Epoch() != eng.Epoch() || !reflect.DeepEqual(f.History(), eng.History()) {
+					t.Fatalf("epoch %d, cancel at %s/it%d: cancelled ingest published state", epoch, tc.stage, tc.it)
+				}
+				f.Cfg.Progress = nil
+				got, _, err = f.Ingest(t.Context(), batch)
+			}
+			if err != nil {
+				t.Fatalf("epoch %d, cancel at %s/it%d: %v", epoch, tc.stage, tc.it, err)
+			}
+			if w.KB.Version() != kbVer {
+				t.Fatalf("epoch %d, cancel at %s/it%d: a fork grew the KB", epoch, tc.stage, tc.it)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("epoch %d, cancel at %s/it%d: retried output differs from an uncancelled fork", epoch, tc.stage, tc.it)
+			}
+		}
+		if _, _, err := eng.Ingest(t.Context(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("cancelled epochs per stage: %v", cancelled)
+	if cancelled[StageDetect] == 0 || cancelled[StageFuse] == 0 {
+		t.Errorf("cancelled epochs per stage = %v, want each stage cancelled at least once", cancelled)
 	}
 }
 

@@ -85,38 +85,32 @@ type Engine struct {
 	// to the instance written back for it, preventing duplicate write-backs
 	// when a cluster persists across epochs without being re-matched.
 	written map[string]kb.InstanceID
-	// entMemo and detMemo cache entity creation and detection results per
-	// cluster membership signature, so an epoch only pays for clusters the
-	// batch actually touched — the bulk of the retained state passes
-	// through unchanged, and without the memos every epoch re-fuses and
-	// re-detects all of it (the dominant super-linear term at scale).
-	// Both hold only clusters made entirely of retained rows and are swept
-	// to the live cluster set each pass. An entMemo entry is valid while
-	// the KB version it was computed at stands (see createEntities); a
-	// detMemo entry stays valid across KB versions for as long as the
-	// entity's candidate list is unchanged (see detectEntities).
-	entMemo map[string]entMemoEntry
-	detMemo map[string]detMemoEntry
-	// revalidated counts detMemo entries reused after a KB version change
-	// because the entity's candidate list was unchanged.
+	// memo caches entity creation and new detection per cluster membership
+	// signature, so an epoch only pays for clusters the batch actually
+	// touched — the bulk of the retained state passes through unchanged,
+	// and without it every epoch re-fuses and re-detects all of it (the
+	// dominant super-linear term at scale). It holds only clusters with no
+	// row from the pass's batch tables and is replaced by the live cluster
+	// set at the end of each pass's detection, so every entry carries both
+	// results. An entry's entity is valid for as long as the membership
+	// stands (see createEntities); its detection at kbVersion, and at any
+	// later version at which the entity retrieves the same candidate list
+	// (see detectEntities).
+	memo map[string]memoEntry
+	// revalidated counts memoized detections reused after a KB version
+	// change because the entity's candidate list was unchanged.
 	revalidated int
 }
 
-// entMemoEntry is one memoized entity: the canonical *Entity created for a
-// cluster membership at a KB version. Entity innards (Labels, Facts, BOW,
+// memoEntry is one memoized cluster: the canonical *Entity created for its
+// membership, and the detection result with the ordered candidate list it
+// was scored against at kbVersion. Entity innards (Labels, Facts, BOW,
 // Implicit) are immutable once created, so hits share them and only the
-// struct (ID, Rows) is copied fresh.
-type entMemoEntry struct {
-	kbVersion uint64
+// struct (ID, Rows) is copied fresh. The detector configuration
+// (thresholds, aggregator, metrics) is fixed for an engine's lifetime, as
+// with all Models.
+type memoEntry struct {
 	ent       *fusion.Entity
-}
-
-// detMemoEntry is one memoized detection result with the ordered candidate
-// list it was scored against. It is valid at kbVersion, and at any later
-// version at which the entity retrieves the same list; the detector
-// configuration (thresholds, aggregator, metrics) is fixed for an engine's
-// lifetime, as with all Models.
-type detMemoEntry struct {
 	kbVersion uint64
 	cands     []kb.InstanceID
 	res       newdet.Result
@@ -185,8 +179,6 @@ func NewEngine(cfg Config, models Models) *Engine {
 		blocks:    cluster.NewBlockIndex(),
 		phi:       cluster.NewPhiModel(),
 		written:   make(map[string]kb.InstanceID),
-		entMemo:   make(map[string]entMemoEntry),
-		detMemo:   make(map[string]detMemoEntry),
 	}
 }
 
@@ -442,16 +434,9 @@ func (e *Engine) Fork() *Engine {
 	for sig, id := range e.written {
 		f.written[sig] = id
 	}
-	// Memo entries are immutable once stored; copying the outer maps keeps
-	// the fork's sweeps from evicting the original's entries.
-	f.entMemo = make(map[string]entMemoEntry, len(e.entMemo))
-	for k, v := range e.entMemo {
-		f.entMemo[k] = v
-	}
-	f.detMemo = make(map[string]detMemoEntry, len(e.detMemo))
-	for k, v := range e.detMemo {
-		f.detMemo[k] = v
-	}
+	// Memo entries are immutable once stored and the map is only ever
+	// replaced, never written in place, so the fork can share it.
+	f.memo = e.memo
 	return f
 }
 
@@ -736,28 +721,14 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 		Scoring:     e.Cfg.Scoring,
 		MatchScores: out.MatchScores,
 	}
-	// Memoization is sound only for clusters made entirely of rows retained
-	// from earlier epochs: batch rows are rebuilt per iteration (possibly
-	// under a refined mapping), so any cluster containing one must be
-	// re-fused. Deduplicate may merge and re-fuse entities after creation,
-	// so memos are disabled outright under Dedup.
-	var retained map[*cluster.Row]bool
-	if !e.Cfg.Dedup {
-		retained = make(map[*cluster.Row]bool, len(e.rows))
-		for _, r := range e.rows {
-			retained[r] = true
-		}
-	}
-	out.Entities = e.createEntities(src, out.Clustering, retained)
-	if e.Cfg.Dedup {
-		out.Entities = fusion.Deduplicate(src, out.Entities, e.Cfg.DedupConfig)
-	}
+	var keys []string
+	out.Entities, keys = e.createEntities(src, out.Clustering, newIDs)
 
 	// New detection: memoized like entity creation; the misses classify
 	// independently on the pool, and RowInstance is then assembled serially
 	// in entity order.
 	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageDetect, Count: len(out.Entities)})
-	if err := e.detectEntities(ctx, out, retained); err != nil {
+	if err := e.detectEntities(ctx, out, keys); err != nil {
 		return nil, err
 	}
 	for i, ent := range out.Entities {
@@ -770,136 +741,107 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 	return grown, nil
 }
 
-// createEntities is fusion.CreateAll with a memo over cluster membership:
-// clusters whose exact membership was already fused at the current KB
-// version reuse the stored entity instead of re-reading every member row.
+// createEntities is fusion.CreateAll with a memo over cluster membership: a
+// cluster with no row from a batch table (newIDs, sorted) reuses the entity
+// memoized for its exact membership instead of re-reading every member row.
+// It returns the entities and, per entity, its memo key — "" for a cluster
+// holding a batch row, whose rows are rebuilt every pass (possibly under a
+// refined mapping) and so must be re-fused. Deduplicate may merge and
+// re-fuse entities after creation, so under Dedup the memo is off and every
+// key is "".
 //
 // Exactness: Create derives an entity solely from its member rows (their
-// Label, BOW, Implicit, Ref, corpus cells under the mapping) and the KB —
-// never from the phi TableVec the in-place Refresh rewrites. Retained rows
-// are immutable between epochs and their tables' mapping is frozen, so for
-// an all-retained cluster the only mutable input is the KB, captured by its
-// version. Entity innards are immutable once created; a hit copies the
-// struct and re-stamps ID and Rows, exactly what CreateAll would produce.
-//
-// retained is nil when memoization is disabled (Dedup mode); then this is
-// plain CreateAll.
-func (e *Engine) createEntities(src *fusion.Sources, cl *cluster.Clustering, retained map[*cluster.Row]bool) []*fusion.Entity {
-	if retained == nil {
-		e.entMemo = make(map[string]entMemoEntry)
-		return fusion.CreateAll(src, cl)
+// Label, BOW, Implicit, Ref, corpus cells under the mapping), the match
+// scores of their columns (under fusion.Matching) and the class schema —
+// never from the phi TableVec the in-place Refresh rewrites, from instance
+// data or from a RowInstance (Sources carries none). Retained rows are
+// immutable between epochs and their tables' mapping and scores are frozen,
+// so an all-retained cluster yields the same entity at every KB version.
+// Entity innards are immutable once created; a hit copies the struct and
+// re-stamps ID and Rows, exactly what CreateAll would produce.
+func (e *Engine) createEntities(src *fusion.Sources, cl *cluster.Clustering, newIDs []int) ([]*fusion.Entity, []string) {
+	if e.Cfg.Dedup {
+		ents := fusion.Deduplicate(src, fusion.CreateAll(src, cl), e.Cfg.DedupConfig)
+		return ents, make([]string, len(ents))
 	}
-	kbVer := e.Cfg.KB.Version()
-	next := make(map[string]entMemoEntry, len(cl.Clusters))
+	inBatch := func(r *cluster.Row) bool {
+		_, found := slices.BinarySearch(newIDs, r.Ref.Table)
+		return found
+	}
 	out := make([]*fusion.Entity, 0, len(cl.Clusters))
+	keys := make([]string, 0, len(cl.Clusters))
 	for _, rows := range cl.Clusters {
 		if len(rows) == 0 {
 			continue
 		}
-		memoable := true
-		for _, r := range rows {
-			if !retained[r] {
-				memoable = false
-				break
-			}
+		key := ""
+		if !slices.ContainsFunc(rows, inBatch) {
+			key = clusterMemoKey(rows)
 		}
-		if !memoable {
-			ent := fusion.Create(src, rows)
-			ent.ID = len(out)
-			out = append(out, ent)
-			continue
-		}
-		key := clusterMemoKey(rows)
-		if m, ok := e.entMemo[key]; ok && m.kbVersion == kbVer {
+		var ent *fusion.Entity
+		if m, ok := e.memo[key]; ok { // the memo never holds the "" key
 			ec := *m.ent
-			ec.ID = len(out)
 			ec.Rows = rows
-			out = append(out, &ec)
-			next[key] = m
-			continue
+			ent = &ec
+		} else {
+			ent = fusion.Create(src, rows)
 		}
-		ent := fusion.Create(src, rows)
 		ent.ID = len(out)
 		out = append(out, ent)
-		next[key] = entMemoEntry{kbVersion: kbVer, ent: ent}
+		keys = append(keys, key)
 	}
-	e.entMemo = next
-	return out
+	return out, keys
 }
 
-// detectEntities fills out.Detections for out.Entities, reusing memoized
-// results for entities whose cluster membership was already classified.
+// detectEntities fills out.Detections for out.Entities, reusing the memoized
+// result of every entity with a memo key (see createEntities), and then
+// replaces the memo with this pass's keyed entities and their detections.
 // Result is a plain value (no entity identity), and the detector's
 // configuration is fixed for the engine's lifetime. A hit at the current KB
 // version is served directly. After the KB grew (write-back), an entry is
 // revalidated instead: the entity's candidates are recomputed, and an
-// unchanged ordered list means an unchanged result. An all-retained
-// cluster yields the same entity at every KB version (entity creation
-// reads only the class schema from the KB), and detection reads only the
-// entity's immutable innards, the candidate list (from which the
-// popularity ranks are built), the candidates' immutable instance data and
-// the static class hierarchy. Misses fan out over the worker pool and are
-// written back serially.
-func (e *Engine) detectEntities(ctx context.Context, out *Output, retained map[*cluster.Row]bool) error {
+// unchanged ordered list means an unchanged result. A memoized entity is the
+// same at every KB version, and detection reads only the entity's immutable
+// innards, the candidate list (from which the popularity ranks are built),
+// the candidates' immutable instance data and the static class hierarchy.
+// Misses fan out over the worker pool. A cancelled pass leaves the memo as
+// it was.
+func (e *Engine) detectEntities(ctx context.Context, out *Output, keys []string) error {
 	out.Detections = make([]newdet.Result, len(out.Entities))
-	if retained == nil {
-		e.detMemo = make(map[string]detMemoEntry)
-		return par.ForEachCtx(ctx, e.Cfg.Workers, len(out.Entities), func(i int) {
-			out.Detections[i] = e.detector.Detect(out.Entities[i])
-		})
-	}
 	kbVer := e.Cfg.KB.Version()
-	next := make(map[string]detMemoEntry, len(out.Entities))
-	keys := make([]string, len(out.Entities))
+	cands := make([][]kb.InstanceID, len(out.Entities))
 	var missIdx []int
-	for i, ent := range out.Entities {
-		memoable := true
-		for _, r := range ent.Rows {
-			if !retained[r] {
-				memoable = false
-				break
-			}
-		}
-		if !memoable {
-			missIdx = append(missIdx, i)
-			continue
-		}
-		keys[i] = clusterMemoKey(ent.Rows)
-		if m, ok := e.detMemo[keys[i]]; ok && m.kbVersion == kbVer {
-			out.Detections[i] = m.res
-			next[keys[i]] = m
+	for i, key := range keys {
+		if m, ok := e.memo[key]; ok && m.kbVersion == kbVer {
+			out.Detections[i], cands[i] = m.res, m.cands
 			continue
 		}
 		missIdx = append(missIdx, i)
 	}
-	cands := make([][]kb.InstanceID, len(missIdx))
-	reused := make([]bool, len(missIdx))
+	reused := make([]bool, len(out.Entities))
 	if err := par.ForEachCtx(ctx, e.Cfg.Workers, len(missIdx), func(j int) {
 		i := missIdx[j]
 		ent := out.Entities[i]
-		if keys[i] == "" {
-			out.Detections[i] = e.detector.Detect(ent)
+		cands[i] = e.detector.Candidates(ent)
+		if m, ok := e.memo[keys[i]]; ok && slices.Equal(m.cands, cands[i]) {
+			out.Detections[i], reused[i] = m.res, true
 			return
 		}
-		cands[j] = e.detector.Candidates(ent)
-		if m, ok := e.detMemo[keys[i]]; ok && slices.Equal(m.cands, cands[j]) {
-			out.Detections[i], reused[j] = m.res, true
-			return
-		}
-		out.Detections[i] = e.detector.DetectAmong(ent, cands[j])
+		out.Detections[i] = e.detector.DetectAmong(ent, cands[i])
 	}); err != nil {
 		return err
 	}
-	for j, i := range missIdx {
-		if keys[i] == "" {
+	next := make(map[string]memoEntry, len(keys))
+	for i, key := range keys {
+		if key == "" {
 			continue
 		}
-		next[keys[i]] = detMemoEntry{kbVersion: kbVer, cands: cands[j], res: out.Detections[i]}
-		if reused[j] {
+		next[key] = memoEntry{ent: out.Entities[i], kbVersion: kbVer, cands: cands[i], res: out.Detections[i]}
+		if reused[i] {
 			e.revalidated++
 		}
 	}
-	e.detMemo = next
+	e.memo = next
 	return nil
 }
 

@@ -116,7 +116,8 @@ func TestLSHEquivalenceOverScenarios(t *testing.T) {
 }
 
 // fullEpoch runs the next epoch of f without Ingest's shortcuts: every
-// configured iteration in full, and every entity detected from scratch.
+// configured iteration in full, and every entity created and detected from
+// scratch.
 // f must be a throwaway fork; nothing is committed or written back.
 func fullEpoch(t *testing.T, f *Engine, batch []int) *Output {
 	t.Helper()
@@ -126,7 +127,7 @@ func fullEpoch(t *testing.T, f *Engine, batch []int) *Output {
 	mc.Class = f.Cfg.Class
 	var out *Output
 	for it := 0; it < f.Cfg.Iterations; it++ {
-		f.detMemo = make(map[string]detMemoEntry)
+		f.memo = nil
 		model, matchers, mctx := f.passInputs(mc, out)
 		next, err := f.matchBatch(t.Context(), it+1, mctx, model, matchers, newIDs)
 		if err != nil {
@@ -143,10 +144,11 @@ func fullEpoch(t *testing.T, f *Engine, batch []int) *Output {
 // TestEpochShortcutsMatchFullRecompute streams every seed scenario class
 // through a write-back engine in small batches and requires each epoch's
 // published output to equal a reference epoch computed on a fork with
-// every iteration run in full and every entity detected from scratch. It
-// also requires that both shortcuts fired: an epoch ending at a mapping
-// fixpoint, and a detection reused after a write-back because its
-// candidate list was unchanged.
+// every iteration run in full and every entity created and detected from
+// scratch, so a memoized entity reused across write-backs is checked
+// against a fresh fuse. It also requires that both shortcuts fired: an
+// epoch ending at a mapping fixpoint, and a detection reused after a
+// write-back because its candidate list was unchanged.
 func TestEpochShortcutsMatchFullRecompute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams every scenario class twice; skipped in -short")

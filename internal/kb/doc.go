@@ -49,9 +49,8 @@
 // under the same manifest-last discipline and then deletes unreferenced
 // segment files, so a crash mid-compaction also leaves a loadable
 // directory (plus, at worst, orphan files the next compaction removes).
-//
-// Manifests of the pre-segment format (a monolithic instances.ndjson,
-// manifest format 0) are converted on first contact: LoadSnapshot reads
-// the monolith as a single-segment chain, and the next SaveSnapshot or
-// CompactSnapshot rewrites the directory in segmented form.
+// Segment names come from the manifest on disk; every path that opens a
+// segment first refuses a name that is not a plain file name inside the
+// snapshot directory, and a manifest of another format that lists
+// instances.
 package kb

@@ -19,15 +19,12 @@ import (
 // commits by rewriting the manifest last (temp-file+rename+fsync), so a
 // crash at any point leaves the previous complete snapshot loadable.
 // CompactSnapshot merges the chain back into one segment under the same
-// discipline. The pre-segment format (a monolithic instances.ndjson) is
-// read as a single-segment chain and rewritten in segmented form by the
-// next save or compaction.
+// discipline.
 const (
-	legacyInstancesFile  = "instances.ndjson"
 	snapshotManifestFile = "manifest.json"
 	segmentPattern       = "segment-%06d.ndjson"
 	// snapshotFormatSegmented is the Manifest.Format of the segmented
-	// layout; zero is the legacy monolithic format.
+	// layout, the only one LoadSnapshot reads instances from.
 	snapshotFormatSegmented = 2
 )
 
@@ -50,8 +47,7 @@ type SegmentInfo struct {
 	// Instances is the number of instance lines in the segment.
 	Instances int `json:"instances"`
 	// FirstEpoch and LastEpoch bound the ingest epochs of the segment's
-	// instances (diagnostic; zero for segments converted from the legacy
-	// monolithic format).
+	// instances (diagnostic; zero when not recorded).
 	FirstEpoch int `json:"firstEpoch,omitempty"`
 	LastEpoch  int `json:"lastEpoch,omitempty"`
 }
@@ -61,7 +57,8 @@ type SegmentInfo struct {
 // bookkeeping (epochs, ingested tables) needed to resume.
 type Manifest struct {
 	// Format versions the directory layout: snapshotFormatSegmented for
-	// the segment chain, zero for the legacy monolithic instances.ndjson.
+	// the segment chain. A manifest of any other format that lists
+	// instances is refused.
 	Format int `json:"format,omitempty"`
 	// SeedInstances is the number of non-ingested (seed) instances in the
 	// KB at save time. LoadSnapshot refuses to load over a KB whose seed
@@ -87,8 +84,7 @@ type Manifest struct {
 	// re-pick) tables processed before the snapshot.
 	Tables map[string][]int `json:"tables,omitempty"`
 	// Segments is the ordered chain of instance segments; LoadSnapshot
-	// replays them in order. Empty in the legacy format, whose single
-	// implicit segment is instances.ndjson.
+	// replays them in order.
 	Segments []SegmentInfo `json:"segments,omitempty"`
 	// NextSegment is the sequence number the next written segment file
 	// will use; it only grows, so a crashed save's orphan file is
@@ -99,14 +95,21 @@ type Manifest struct {
 	CompactedAt int `json:"compactedAt,omitempty"`
 }
 
-// segmentChain returns the manifest's segment chain, synthesizing the
-// implicit single segment of a legacy monolithic manifest.
-func segmentChain(m Manifest) []SegmentInfo {
-	if len(m.Segments) > 0 {
-		return m.Segments
+// checkChain rejects a manifest whose segment chain must not be opened:
+// instances listed under a format other than the segmented one, or a
+// segment that is not a plain file name inside the snapshot directory
+// with a non-negative instance count. Manifests are read from disk, so a
+// name such as "../other/segment-000001.ndjson" must not reach a file
+// outside dir. Every path that opens a segment checks the chain first.
+func checkChain(m Manifest) error {
+	if m.Format != snapshotFormatSegmented && m.Instances > 0 {
+		return fmt.Errorf("kb: snapshot manifest format %d is not supported (want %d)", m.Format, snapshotFormatSegmented)
 	}
-	if m.Format == 0 && m.Instances > 0 {
-		return []SegmentInfo{{File: legacyInstancesFile, Instances: m.Instances}}
+	for _, seg := range m.Segments {
+		if seg.File == "." || seg.File == ".." || seg.File != filepath.Base(seg.File) || seg.Instances < 0 {
+			return fmt.Errorf("kb: snapshot segment %q with %d instances is not a plain file name with a non-negative count",
+				seg.File, seg.Instances)
+		}
 	}
 	return nil
 }
@@ -117,14 +120,11 @@ func segmentChain(m Manifest) []SegmentInfo {
 // consistent, and every segment file present. When it is not, SaveSnapshot
 // falls back to rewriting a fresh single-segment chain.
 func chainReusable(dir string, prior Manifest, seeds int, worldKey string, ingested int) bool {
-	if prior.WorldKey != worldKey || prior.SeedInstances != seeds || prior.Instances > ingested {
+	if prior.WorldKey != worldKey || prior.SeedInstances != seeds || prior.Instances > ingested || checkChain(prior) != nil {
 		return false
 	}
 	total := 0
-	for _, seg := range segmentChain(prior) {
-		if seg.Instances < 0 || strings.ContainsRune(seg.File, os.PathSeparator) {
-			return false
-		}
+	for _, seg := range prior.Segments {
 		if _, err := os.Stat(filepath.Join(dir, seg.File)); err != nil {
 			return false
 		}
@@ -170,7 +170,7 @@ func (kb *KB) SaveSnapshot(dir string, meta Manifest) (Manifest, error) {
 	var chain []SegmentInfo
 	next := 1
 	if prior, err := ReadManifest(dir); err == nil && chainReusable(dir, prior, seeds, meta.WorldKey, len(ingested)) {
-		chain = segmentChain(prior)
+		chain = prior.Segments
 		if prior.NextSegment > next {
 			next = prior.NextSegment
 		}
@@ -226,9 +226,9 @@ func writeManifest(dir string, m Manifest) error {
 
 // removeUnreferenced deletes instance files in dir that the committed
 // manifest does not list — segments a crashed or superseded save left
-// behind, the legacy monolith after conversion, and stale atomicWrite
-// temporaries. Best effort: a file that cannot be removed is retried by
-// the next save or compaction, and never corrupts the snapshot.
+// behind, and stale atomicWrite temporaries. Best effort: a file that
+// cannot be removed is retried by the next save or compaction, and never
+// corrupts the snapshot.
 func removeUnreferenced(dir string, m Manifest) {
 	keep := make(map[string]bool, len(m.Segments))
 	for _, seg := range m.Segments {
@@ -243,8 +243,7 @@ func removeUnreferenced(dir string, m Manifest) {
 		if !e.Type().IsRegular() || keep[name] || name == snapshotManifestFile {
 			continue
 		}
-		stale := name == legacyInstancesFile ||
-			(strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".ndjson")) ||
+		stale := (strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".ndjson")) ||
 			strings.Contains(name, ".tmp")
 		if stale {
 			os.Remove(filepath.Join(dir, name))
@@ -311,11 +310,14 @@ func ReadManifest(dir string) (Manifest, error) {
 // seed instance count, no ingested instances yet); a mismatch returns an
 // error rather than silently duplicating or misaligning instance IDs. A
 // directory without a manifest returns ErrNoSnapshot, which callers
-// treat as a cold start. Legacy monolithic snapshots load as a
-// single-segment chain.
+// treat as a cold start. A manifest that fails checkChain is refused
+// before any segment is read.
 func (kb *KB) LoadSnapshot(dir string) (Manifest, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
+		return Manifest{}, err
+	}
+	if err := checkChain(m); err != nil {
 		return Manifest{}, err
 	}
 	if got := kb.NumInstances(); got != m.SeedInstances {
@@ -323,7 +325,7 @@ func (kb *KB) LoadSnapshot(dir string) (Manifest, error) {
 			m.SeedInstances, got)
 	}
 	total := 0
-	for _, seg := range segmentChain(m) {
+	for _, seg := range m.Segments {
 		f, err := os.Open(filepath.Join(dir, seg.File))
 		if err != nil {
 			return Manifest{}, fmt.Errorf("kb: opening snapshot segment: %w", err)
@@ -349,17 +351,19 @@ func (kb *KB) LoadSnapshot(dir string) (Manifest, error) {
 // commits the shortened manifest, returning it. The merged segment is
 // written first and the manifest last, so a crash mid-compaction leaves
 // the old chain loadable (plus an orphan merged file the next compaction
-// or save removes). A chain of one segmented-format segment is already
-// compact and returns unchanged; a legacy monolithic snapshot is
-// converted to a numbered segment. Instance bytes are copied verbatim,
-// so compaction can never alter what LoadSnapshot reconstructs.
+// or save removes). A chain of at most one segment is already compact
+// and returns unchanged. Instance bytes are copied verbatim, so
+// compaction can never alter what LoadSnapshot reconstructs.
 func CompactSnapshot(dir string) (Manifest, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return Manifest{}, err
 	}
-	chain := segmentChain(m)
-	if len(chain) == 0 || (len(chain) == 1 && m.Format == snapshotFormatSegmented && len(m.Segments) == 1) {
+	if err := checkChain(m); err != nil {
+		return Manifest{}, err
+	}
+	chain := m.Segments
+	if len(chain) <= 1 {
 		removeUnreferenced(dir, m)
 		return m, nil
 	}
@@ -407,8 +411,8 @@ func CompactSnapshot(dir string) (Manifest, error) {
 	if merged.LastEpoch > 0 {
 		m.CompactedAt = merged.LastEpoch
 	} else {
-		// A chain converted from the legacy format carries no per-segment
-		// epochs; fall back to the engine bookkeeping.
+		// The merged segments recorded no ingest epochs (the bounds are
+		// optional diagnostics); fall back to the engine bookkeeping.
 		for _, e := range m.Epochs {
 			if e > m.CompactedAt {
 				m.CompactedAt = e

@@ -124,6 +124,56 @@ func TestSnapshotMissingIsErrNoSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotUnsafeChainRejected: a manifest whose chain names a file
+// outside the snapshot directory, a non-plain name or a negative count, or
+// a pre-segment (format 0) manifest listing instances, is refused by
+// LoadSnapshot with the KB unchanged, and by CompactSnapshot.
+func TestSnapshotUnsafeChainRejected(t *testing.T) {
+	base := t.TempDir()
+	other := filepath.Join(base, "other")
+	good, err := seedPlusIngested(t).SaveSnapshot(other, Manifest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := good.Segments[0]
+	for _, tc := range []struct {
+		name string
+		edit func(m *Manifest)
+	}{
+		{"escaping path", func(m *Manifest) { m.Segments[0].File = filepath.Join("..", "other", seg.File) }},
+		{"parent dir", func(m *Manifest) { m.Segments[0].File = ".." }},
+		{"empty name", func(m *Manifest) { m.Segments[0].File = "" }},
+		{"negative count", func(m *Manifest) { m.Segments[0].Instances = -1 }},
+		{"format 0", func(m *Manifest) { m.Format, m.Segments = 0, nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(base, "snap-"+tc.name)
+			m := good
+			m.Segments = []SegmentInfo{seg}
+			tc.edit(&m)
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeManifest(dir, m); err != nil {
+				t.Fatal(err)
+			}
+			dst := New()
+			dst.AddInstance(&Instance{Class: ClassSong, Labels: []string{"Seed Song"}})
+			dst.AddInstance(&Instance{Class: ClassGFPlayer, Labels: []string{"Seed Player"}})
+			ver := dst.Version()
+			if _, err := dst.LoadSnapshot(dir); err == nil {
+				t.Error("LoadSnapshot accepted the manifest")
+			}
+			if dst.NumInstances() != 2 || dst.Version() != ver {
+				t.Errorf("rejected load changed the KB: %d instances", dst.NumInstances())
+			}
+			if _, err := CompactSnapshot(dir); err == nil {
+				t.Error("CompactSnapshot accepted the manifest")
+			}
+		})
+	}
+}
+
 // readFile returns a file's bytes, failing the test on error.
 func readFile(t *testing.T, path string) []byte {
 	t.Helper()
