@@ -310,7 +310,8 @@ func BenchmarkFullRerun(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks for the design choices called out in DESIGN.md ---
+// --- Ablation benchmarks: blocking and KLj refinement in row clustering
+// (§3.2), and the number of pipeline iterations ---
 
 // benchClusterAblation clusters the corpus rows of the Song class (the
 // class where clustering choices matter most) under the given blocking and
@@ -476,15 +477,13 @@ func BenchmarkServeLookup(b *testing.B) {
 
 // BenchmarkServeSearch measures fuzzy label search (a query with one
 // misspelled token, so the index's fuzzy fallback runs on every cache
-// miss) through the serving stack: warm (LRU response cache hit), cold
-// (cache disabled, deletion-neighborhood posting index), and oldscan
-// (cache disabled, reference length-bucketed vocabulary scan). These are
-// the tracked serve-layer numbers of BENCH_hotpath.json; see also
+// miss) through the serving stack: warm (LRU response cache hit) and cold
+// (cache disabled, deletion-neighborhood posting index). These are the
+// tracked serve-layer numbers of BENCH_hotpath.json; see also
 // internal/bench.
 func BenchmarkServeSearch(b *testing.B) {
 	b.Run("warm", bench.ServeSearchWarm)
 	b.Run("cold", bench.ServeSearchCold)
-	b.Run("oldscan", bench.ServeSearchOldScan)
 }
 
 // BenchmarkClusterGreedy measures the parallel greedy correlation

@@ -47,7 +47,6 @@ func All() []Named {
 		{Name: "IngestBatch", Fn: IngestBatch},
 		{Name: "ServeSearch/cold", Fn: ServeSearchCold},
 		{Name: "ServeSearch/warm", Fn: ServeSearchWarm},
-		{Name: "ServeSearch/oldscan", Fn: ServeSearchOldScan},
 	}
 }
 
@@ -274,14 +273,4 @@ func ServeSearchCold(b *testing.B) {
 func ServeSearchWarm(b *testing.B) {
 	f := serveFixture(b)
 	serveGet(b, f.cached, f.query)
-}
-
-// ServeSearchOldScan measures the cold path with the index forced onto the
-// pre-optimization length-bucketed vocabulary scan, quantifying the win of
-// the deletion-neighborhood posting index.
-func ServeSearchOldScan(b *testing.B) {
-	f := serveFixture(b)
-	restore := useScanFuzzy()
-	defer restore()
-	serveGet(b, f.uncached, f.query)
 }

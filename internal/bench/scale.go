@@ -22,16 +22,14 @@ import (
 //
 //   - BlockAssign/{10k,100k}: block assignment for a fixed probe batch
 //     against a label index of 10k vs 100k synthetic labels. The labels
-//     share vocabulary tokens, so the exact reference path (full TF-IDF
-//     search) scores a posting list that grows with the corpus, while the
-//     hybrid retrieval (LSH buckets plus the capped rare-token walk)
-//     stays bounded.
+//     share vocabulary tokens, so an exact TF-IDF search would score a
+//     posting list that grows with the corpus, while the hybrid retrieval
+//     (LSH buckets plus the capped rare-token walk) stays bounded.
 //   - IngestScale/{1x,10x}: a full engine epoch over a fixed 12-table
 //     batch, with the retained corpus (tables, clusterer state, KB
 //     instances, block labels) grown 10x by a filler population that
 //     reuses the base population's common tokens. Per-epoch cost must
-//     stay near-flat (the CI gate holds 10x within 2x of 1x); the -exact
-//     variants document the reference path's growth.
+//     stay near-flat (the CI gate holds 10x within 2x of 1x).
 //
 // Scale() lists both families; cmd/ltee-bench runs them behind -scale.
 
@@ -42,27 +40,11 @@ import (
 func Scale() []Named {
 	return []Named{
 		{Name: "BlockAssign/10k", Fn: BlockAssign10k},
-		{Name: "BlockAssign/10k-exact", Fn: BlockAssign10kExact},
 		{Name: "BlockAssign/100k", Fn: BlockAssign100k},
-		{Name: "BlockAssign/100k-exact", Fn: BlockAssign100kExact},
 		{Name: "IngestScale/1x", Fn: IngestScale1x},
-		{Name: "IngestScale/1x-exact", Fn: IngestScale1xExact},
 		{Name: "IngestScale/10x", Fn: IngestScale10x},
-		{Name: "IngestScale/10x-exact", Fn: IngestScale10xExact},
 		{Name: "KBMemory/100k", Fn: KBMemory100k},
 		{Name: "SnapshotDelta", Fn: SnapshotDelta},
-	}
-}
-
-// useExactCandidates forces the clustering blocker and the KB candidate
-// retrieval onto their exact reference paths (full search instead of LSH
-// plus re-ranking) and returns a restore func.
-func useExactCandidates() func() {
-	cluster.SetScanBlocking(true)
-	kb.SetScanCandidates(true)
-	return func() {
-		cluster.SetScanBlocking(false)
-		kb.SetScanCandidates(false)
 	}
 }
 
@@ -70,8 +52,8 @@ func useExactCandidates() func() {
 // BlockAssign: block retrieval cost vs label-corpus size.
 
 // synthVocab is the shared token vocabulary of the synthetic labels.
-// Reusing tokens across labels is the point: it makes the exact path's
-// posting lists grow with the corpus, as a real Zipfian vocabulary would.
+// Reusing tokens across labels is the point: it makes the posting lists
+// grow with the corpus, as a real Zipfian vocabulary would.
 var synthVocab = func() []string {
 	out := make([]string, 257)
 	for i := range out {
@@ -84,7 +66,7 @@ var synthVocab = func() []string {
 // a unique disambiguator, so labels collide on postings yet stay distinct.
 // The two token streams cycle with coprime periods (257 and 251), so token
 // PAIRS essentially never repeat: the corpus grows each token's posting
-// list linearly — the exact path's cost — without manufacturing an
+// list linearly — an exact search's cost — without manufacturing an
 // ever-growing class of near-duplicate labels that no blocker could prune.
 func synthLabel(i int) string {
 	a := synthVocab[(i*7+3)%len(synthVocab)]
@@ -126,11 +108,8 @@ func blockFixture(b *testing.B, n int) *blockFix {
 // blockTopK mirrors the engine's default block fan-out.
 const blockTopK = 6
 
-func blockAssign(b *testing.B, n int, exact bool) {
+func blockAssign(b *testing.B, n int) {
 	f := blockFixture(b, n)
-	if exact {
-		defer useExactCandidates()()
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -141,10 +120,8 @@ func blockAssign(b *testing.B, n int, exact bool) {
 	}
 }
 
-func BlockAssign10k(b *testing.B)       { blockAssign(b, 10_000, false) }
-func BlockAssign10kExact(b *testing.B)  { blockAssign(b, 10_000, true) }
-func BlockAssign100k(b *testing.B)      { blockAssign(b, 100_000, false) }
-func BlockAssign100kExact(b *testing.B) { blockAssign(b, 100_000, true) }
+func BlockAssign10k(b *testing.B)  { blockAssign(b, 10_000) }
+func BlockAssign100k(b *testing.B) { blockAssign(b, 100_000) }
 
 // ---------------------------------------------------------------------------
 // IngestScale: engine epoch cost vs retained-corpus size.
@@ -161,7 +138,7 @@ var scaleFixes sync.Map // scale int -> *scaleFix
 // base world plus (scale-1) filler copies of it, then returns the engine
 // and a fixed 12-table batch from the base population. Filler labels
 // recombine the base vocabulary with a unique disambiguator token: the
-// exact candidate paths must wade through the shared postings, while the
+// shared postings grow with the scale, while the
 // batch's true match neighborhood (the base population) is identical at
 // every scale. The warm-up ingests in two steps so the engine's
 // entity/detection memos cover the retained clusters, exactly as a
@@ -199,8 +176,8 @@ func buildScaleFixture(scale int) (*scaleFix, error) {
 	// document frequency past the rare-token cap — both retrieval layers
 	// (LSH banding and the rare-token walk) then prune filler matches,
 	// while the rare name tokens of the base population gain no postings
-	// at all and keep their walks bounded. The exact paths have no such
-	// cap and must score every posting of a shared common token.
+	// at all and keep their walks bounded. An exact search has no such
+	// cap and would score every posting of a shared common token.
 	freq := make(map[string]int)
 	for _, id := range w.KB.InstancesOf(kb.ClassGFPlayer) {
 		for _, tok := range strsim.Tokens(w.KB.InstanceLabel(id)) {
@@ -219,8 +196,8 @@ func buildScaleFixture(scale int) (*scaleFix, error) {
 	})
 	common := vocab[0] + " " + vocab[1]
 	// fillerLabel names the filler entity for base row index i: the two
-	// common base tokens (so the exact paths' posting lists for those
-	// tokens grow linearly with scale, past the rare cap) diluted by two
+	// common base tokens (so the posting lists for those tokens grow
+	// linearly with scale, past the rare cap) diluted by two
 	// filler-own tokens (so the trigram Jaccard against any base label
 	// stays low and LSH prunes the pair, and the common tokens' relative
 	// TF-IDF mass stays under the block score floor). The label is keyed
@@ -237,8 +214,8 @@ func buildScaleFixture(scale int) (*scaleFix, error) {
 	// kbLabel names the s-th copy's distinct KB filler instance for base
 	// row index i — same shape as fillerLabel (common tokens, diluted),
 	// but unique per copy: the KB gains ~10x distinct instances carrying
-	// common tokens, which is what the detector's exact candidate path
-	// must wade through.
+	// common tokens, which an exact candidate search would have to wade
+	// through.
 	kbLabel := func(s, i int) string {
 		return common +
 			" qk" + strconv.Itoa((i*5+2)%59) +
@@ -300,11 +277,8 @@ func buildScaleFixture(scale int) (*scaleFix, error) {
 	return sf, nil
 }
 
-func ingestScale(b *testing.B, scale int, exact bool) {
+func ingestScale(b *testing.B, scale int) {
 	f := scaleFixture(b, scale)
-	if exact {
-		defer useExactCandidates()()
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -323,7 +297,5 @@ func ingestScale(b *testing.B, scale int, exact bool) {
 	}
 }
 
-func IngestScale1x(b *testing.B)       { ingestScale(b, 1, false) }
-func IngestScale1xExact(b *testing.B)  { ingestScale(b, 1, true) }
-func IngestScale10x(b *testing.B)      { ingestScale(b, 10, false) }
-func IngestScale10xExact(b *testing.B) { ingestScale(b, 10, true) }
+func IngestScale1x(b *testing.B)  { ingestScale(b, 1) }
+func IngestScale10x(b *testing.B) { ingestScale(b, 10) }

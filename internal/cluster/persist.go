@@ -1,24 +1,12 @@
 package cluster
 
 import (
-	"sync/atomic"
+	"maps"
+	"slices"
 
 	"repro/internal/index"
-	"repro/internal/lsh"
-	"repro/internal/par"
 	"repro/internal/strsim"
 )
-
-// scanBlocking, when set, forces block assignment onto the reference
-// full-index TF-IDF search instead of LSH retrieval plus exact re-ranking.
-// It mirrors index.SetScanFuzzy: a benchmark and equivalence-test knob that
-// lets recall be verified against the reference rather than assumed;
-// production code never sets it.
-var scanBlocking atomic.Bool
-
-// SetScanBlocking toggles the reference blocking path. Benchmark and test
-// knob only.
-func SetScanBlocking(v bool) { scanBlocking.Store(v) }
 
 // BlockIndex assigns label blocks to rows. It persists across Build calls:
 // the incremental ingestion engine keeps one per class so a batch's rows
@@ -27,20 +15,17 @@ func SetScanBlocking(v bool) { scanBlocking.Store(v) }
 // and gets compared with its retained cluster. A fresh BlockIndex used for
 // a single Build reproduces the one-shot blocking exactly.
 //
-// Retrieval runs in two stages: the LSH index plus a bounded rare-token
-// posting walk propose a candidate set in near-constant time (see
-// internal/lsh, "Hybrid retrieval"), and the inverted index re-scores
-// exactly those candidates with the same TF-IDF floats the reference
-// search computes, so the top-k blocks are identical to the reference
-// whenever the candidates cover its top hits (the recall-equivalence
-// tests in internal/core assert they do).
+// Retrieval is the label index's sub-linear Retrieve (see internal/lsh,
+// "Hybrid retrieval"), which re-scores its candidates with the exact
+// TF-IDF floats, so the top-k blocks equal an exact Search's whenever the
+// candidates cover its top hits (the equivalence tests assert they do).
 type BlockIndex struct {
+	// ix holds one document per distinct label, with the label's
+	// position in labels as its ID.
 	ix       *index.Index
-	cand     *lsh.Index
 	labelDoc map[string]int
-	// labels lists the normalized labels in doc-ID order, so Clone can
-	// rebuild an identical index deterministically and the LSH path can
-	// map scored docs back to block labels without a lock.
+	// labels lists the normalized labels in doc-ID order, mapping scored
+	// docs back to block labels.
 	labels []string
 }
 
@@ -48,7 +33,6 @@ type BlockIndex struct {
 func NewBlockIndex() *BlockIndex {
 	return &BlockIndex{
 		ix:       index.New(),
-		cand:     lsh.NewIndex(lsh.DefaultParams()),
 		labelDoc: make(map[string]int),
 	}
 }
@@ -64,7 +48,6 @@ func (bi *BlockIndex) Assign(rows []*Row, k int) {
 			bi.labelDoc[r.NormLabel] = doc
 			bi.labels = append(bi.labels, r.NormLabel)
 			bi.ix.Add(doc, r.NormLabel)
-			bi.cand.Add(doc, r.NormLabel)
 		}
 	}
 	// The result cache lives per call: a later Assign sees more labels and
@@ -103,23 +86,10 @@ func (bi *BlockIndex) Assign(rows []*Row, k int) {
 // true neighborhood.
 const blockScoreFloor = 0.35
 
-// topLabels returns the distinct labels of the top-k scored documents for
-// the query, through LSH retrieval plus exact re-ranking — or through the
-// reference full search when SetScanBlocking is forced. Both paths apply
-// blockScoreFloor to the same exact scores, so they stay float-identical
-// whenever the LSH candidates cover the reference's top hits.
+// topLabels returns the distinct labels of the top-k retrieved documents
+// for the query that score at least blockScoreFloor of the best hit.
 func (bi *BlockIndex) topLabels(norm string, k int) []string {
-	var hits []index.Hit
-	if scanBlocking.Load() {
-		hits = bi.ix.Search(norm, k)
-	} else {
-		docs := bi.cand.AppendQuery(nil, norm)
-		docs = bi.ix.AppendRareDocs(docs, norm, index.DefaultRareCap)
-		hits = bi.ix.ScoreDocs(norm, index.SortDedupDocs(docs))
-		if len(hits) > k {
-			hits = hits[:k]
-		}
-	}
+	hits := bi.ix.Retrieve(norm, k)
 	var out []string
 	for _, h := range hits {
 		if h.Score < hits[0].Score*blockScoreFloor {
@@ -135,19 +105,11 @@ func (bi *BlockIndex) topLabels(norm string, k int) []string {
 // Clone returns an independent copy (engine forks must not cross-pollinate
 // each other's label universes).
 func (bi *BlockIndex) Clone() *BlockIndex {
-	nc := &BlockIndex{
-		ix:       index.New(),
-		cand:     bi.cand.Clone(),
-		labelDoc: make(map[string]int, len(bi.labelDoc)),
+	return &BlockIndex{
+		ix:       bi.ix.Clone(),
+		labelDoc: maps.Clone(bi.labelDoc),
+		labels:   slices.Clone(bi.labels),
 	}
-	entries := make([]index.Entry, len(bi.labels))
-	for doc, l := range bi.labels {
-		nc.labelDoc[l] = doc
-		entries[doc] = index.Entry{Doc: doc, Label: l}
-	}
-	nc.labels = append(nc.labels, bi.labels...)
-	nc.ix.AddBatch(entries, par.DefaultWorkers())
-	return nc
 }
 
 // PhiModel is a corpus-wide PHI label-correlation model that persists

@@ -1,48 +1,38 @@
 package core
 
 import (
-	"context"
 	"reflect"
+	"slices"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/fusion"
 	"repro/internal/kb"
 	"repro/internal/match"
 )
 
-// exactPaths forces both LSH retrieval layers (clustering block assignment
-// and KB candidate generation) onto their exact reference paths and
-// returns a restore func.
-func exactPaths() func() {
-	cluster.SetScanBlocking(true)
-	kb.SetScanCandidates(true)
-	return func() {
-		cluster.SetScanBlocking(false)
-		kb.SetScanCandidates(false)
-	}
-}
-
-// TestLSHEquivalenceOverScenarios runs the full pipeline over every seed
-// scenario class twice — once on the default LSH candidate paths, once on
-// the exact reference paths — and requires identical final output: the
-// same clustering assignment, the same entities, and the same detections.
-// It also holds the block-level candidate recall to a floor, so a future
-// retuning of the LSH parameters cannot silently trade recall away while
-// the output equivalence happens to survive on this corpus.
+// TestLSHEquivalenceOverScenarios holds the pipeline's KB candidate
+// retrieval to per-call identity with its exact reference: for every seed
+// scenario class it runs the pipeline once, then requires Candidates to
+// return exactly the IDs SearchInstances returns for every row label and
+// entity label, under each option set the pipeline passes — table-to-class
+// matching (K 8, no class), implicit attributes (K 5, the class) and new
+// detection (the detector's K, the class). internal/cluster's test of the
+// same name holds block assignment to its exact reference the same way.
 //
 // Identity (not mere similarity) is achievable because LSH retrieval is
-// re-ranked by the same exact TF-IDF scorer the reference search uses:
-// output can only diverge when the candidate union (LSH buckets plus the
-// rare-token posting walk) misses one of the reference's above-floor
-// top-k hits. The two halves split the similarity spectrum between them —
-// banding covers multi-token/fuzzy matches, the rare-token walk covers
-// high-IDF single-token matches — so on corpora whose informative tokens
-// stay within the rare cap the union covers everything the exact scorer
-// can rank highly (see internal/lsh, "Hybrid retrieval").
+// re-ranked by the same exact TF-IDF scorer the reference search uses: a
+// call can only differ when the candidate union (LSH buckets plus the
+// rare-token posting walk) misses one of the reference's top hits. The
+// two halves split the similarity spectrum between them — banding covers
+// multi-token/fuzzy matches, the rare-token walk covers high-IDF
+// single-token matches — so on corpora whose informative tokens stay
+// within the rare cap the union covers everything the exact scorer can
+// rank highly (see internal/lsh, "Hybrid retrieval").
 func TestLSHEquivalenceOverScenarios(t *testing.T) {
+	t.Parallel()
 	w, corpus := fixture()
 	byClass := classify(w.KB, corpus)
+	detectK := defaultDetector(w.KB).CandidateK
 	for _, class := range kb.EvalClasses() {
 		tids := byClass[class]
 		if len(tids) == 0 {
@@ -51,67 +41,41 @@ func TestLSHEquivalenceOverScenarios(t *testing.T) {
 		}
 		cfg := DefaultConfig(w.KB, corpus, class)
 		cfg.Iterations = 1
-
-		lsh, err := New(cfg, Models{}).Run(context.Background(), tids)
+		out, err := New(cfg, Models{}).Run(t.Context(), tids)
 		if err != nil {
-			t.Fatalf("%s: lsh run: %v", class, err)
+			t.Fatalf("%s: run: %v", class, err)
 		}
-
-		restore := exactPaths()
-		exact, err := New(cfg, Models{}).Run(context.Background(), tids)
-		restore()
-		if err != nil {
-			t.Fatalf("%s: exact run: %v", class, err)
+		var labels []string
+		for _, r := range out.Rows {
+			labels = append(labels, r.Label)
 		}
-
-		// Block-level recall: every block the exact path assigned should
-		// also be proposed by LSH retrieval (measured before requiring
-		// full identity, to localize a failure to the retrieval layer).
-		hit, total := 0, 0
-		lshBlocks := make(map[string]map[string]bool)
-		for _, r := range lsh.Rows {
-			set := make(map[string]bool, len(r.Blocks))
-			for _, b := range r.Blocks {
-				set[b] = true
-			}
-			lshBlocks[r.NormLabel] = set
+		for _, e := range out.Entities {
+			labels = append(labels, e.Labels...)
 		}
-		for _, r := range exact.Rows {
-			set := lshBlocks[r.NormLabel]
-			for _, b := range r.Blocks {
-				total++
-				if set[b] {
-					hit++
+		slices.Sort(labels)
+		labels = slices.Compact(labels)
+		optSets := []kb.CandidateOpts{{K: 8}, {K: 5, Class: class}, {K: detectK, Class: class}}
+		calls := 0
+		for _, l := range labels {
+			for _, opts := range optSets {
+				calls++
+				hits, err := w.KB.SearchInstances(t.Context(), l, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []kb.InstanceID
+				for _, h := range hits {
+					want = append(want, h.Instance)
+				}
+				if got := w.KB.Candidates(l, opts); !slices.Equal(got, want) {
+					t.Errorf("%s: Candidates(%q, %+v) = %v, SearchInstances %v", class, l, opts, got, want)
 				}
 			}
 		}
-		if total == 0 {
-			t.Fatalf("%s: exact run assigned no blocks", class)
+		if len(out.Rows) == 0 || len(out.Entities) == 0 {
+			t.Errorf("%s: run built %d rows and %d entities", class, len(out.Rows), len(out.Entities))
 		}
-		if recall := float64(hit) / float64(total); recall < 0.97 {
-			t.Errorf("%s: block recall = %.4f over %d reference blocks, want >= 0.97", class, recall, total)
-		}
-
-		// Full output identity at default thresholds.
-		if !reflect.DeepEqual(lsh.Clustering.Assign, exact.Clustering.Assign) {
-			t.Errorf("%s: clustering assignment differs between LSH and exact paths", class)
-		}
-		if len(lsh.Entities) != len(exact.Entities) {
-			t.Fatalf("%s: entity counts differ: %d (lsh) vs %d (exact)", class, len(lsh.Entities), len(exact.Entities))
-		}
-		for i := range lsh.Entities {
-			if lsh.Entities[i].Label() != exact.Entities[i].Label() {
-				t.Errorf("%s: entity %d label differs: %q vs %q",
-					class, i, lsh.Entities[i].Label(), exact.Entities[i].Label())
-			}
-			ld, ed := lsh.Detections[i], exact.Detections[i]
-			if ld.Matched != ed.Matched || ld.IsNew != ed.IsNew || ld.Instance != ed.Instance {
-				t.Errorf("%s: entity %d detection differs: %+v vs %+v", class, i, ld, ed)
-			}
-		}
-		if !reflect.DeepEqual(lsh.RowInstance, exact.RowInstance) {
-			t.Errorf("%s: row-instance mapping differs between LSH and exact paths", class)
-		}
+		t.Logf("%s: %d distinct labels, %d candidate calls compared", class, len(labels), calls)
 	}
 }
 

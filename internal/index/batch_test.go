@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
+	"sync"
 	"testing"
+
+	"repro/internal/strsim"
 )
 
 // batchCorpus generates n (doc, label) entries with a narrow alphabet so
@@ -29,7 +32,7 @@ func batchCorpus(rng *rand.Rand, n int) []Entry {
 
 // TestAddBatchEquivalentToAdds proves AddBatch produces byte-identical
 // internal state to the same entries applied through serial Adds — postings,
-// document frequencies, length buckets, and every sharded deletion
+// document frequencies, LSH buckets, and every sharded deletion
 // neighborhood list, regardless of worker count.
 func TestAddBatchEquivalentToAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -50,8 +53,8 @@ func TestAddBatchEquivalentToAdds(t *testing.T) {
 		if !reflect.DeepEqual(serial.labels, batched.labels) {
 			t.Fatalf("workers=%d: labels differ", workers)
 		}
-		if !reflect.DeepEqual(serial.byLen, batched.byLen) {
-			t.Fatalf("workers=%d: byLen buckets differ", workers)
+		if !reflect.DeepEqual(serial.lsh, batched.lsh) {
+			t.Fatalf("workers=%d: LSH buckets differ", workers)
 		}
 		if serial.numDocs != batched.numDocs {
 			t.Fatalf("workers=%d: numDocs %d vs %d", workers, serial.numDocs, batched.numDocs)
@@ -87,13 +90,24 @@ func TestAddBatchThenAdd(t *testing.T) {
 		if !reflect.DeepEqual(serial.Search(q, 10), mixed.Search(q, 10)) {
 			t.Fatalf("Search(%q) differs between serial and batch+incremental builds", q)
 		}
+		if !reflect.DeepEqual(serial.Retrieve(q, 10), mixed.Retrieve(q, 10)) {
+			t.Fatalf("Retrieve(%q) differs between serial and batch+incremental builds", q)
+		}
 	}
 }
 
+// scoreLabel scores docs against a raw query label the way Retrieve does.
+func scoreLabel(ix *Index, q string, docs []int) []Hit {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.scoreDocs(ix.appendTerms(nil, strsim.Tokens(q)), docs)
+}
+
 // TestScoreDocsMatchesSearch proves the re-rank contract: scoring the full
-// document universe through ScoreDocs and truncating to k reproduces
+// document universe through scoreDocs and truncating to k reproduces
 // Search's hits float-for-float, for exact, fuzzy, and mixed queries.
 func TestScoreDocsMatchesSearch(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
 	ix := New()
 	words := make([]string, 0, 250)
@@ -111,12 +125,12 @@ func TestScoreDocsMatchesSearch(t *testing.T) {
 			q = w[:len(w)-1] + "zq " + w // misspelling → fuzzy path
 		}
 		want := ix.Search(q, 10)
-		got := ix.ScoreDocs(q, allDocs)
+		got := scoreLabel(ix, q, allDocs)
 		if len(got) > 10 {
 			got = got[:10]
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("ScoreDocs(%q) truncated = %+v, Search = %+v", q, got, want)
+			t.Fatalf("scoreDocs(%q) truncated = %+v, Search = %+v", q, got, want)
 		}
 	}
 }
@@ -125,6 +139,7 @@ func TestScoreDocsMatchesSearch(t *testing.T) {
 // Search scores of its members (scores are per-doc, independent of the
 // candidate set), and that unknown docs are dropped.
 func TestScoreDocsSubset(t *testing.T) {
+	t.Parallel()
 	ix := New()
 	ix.Add(1, "green bay packers")
 	ix.Add(2, "green day")
@@ -135,7 +150,7 @@ func TestScoreDocsSubset(t *testing.T) {
 	for _, h := range full {
 		byDoc[h.Doc] = h.Score
 	}
-	got := ix.ScoreDocs("green bay", []int{3, 1, 99})
+	got := scoreLabel(ix, "green bay", []int{3, 1, 99})
 	if len(got) != 2 {
 		t.Fatalf("subset hits = %+v, want docs 1 and 3 only", got)
 	}
@@ -144,28 +159,133 @@ func TestScoreDocsSubset(t *testing.T) {
 			t.Fatalf("doc %d scored %v via subset, %v via Search", h.Doc, h.Score, byDoc[h.Doc])
 		}
 	}
-	sorted := sort.SliceIsSorted(got, func(i, j int) bool {
-		if got[i].Score != got[j].Score {
-			return got[i].Score > got[j].Score
-		}
-		return got[i].Doc < got[j].Doc
-	})
-	if !sorted {
+	if !slices.IsSortedFunc(got, compareHits) {
 		t.Fatalf("subset hits not in (score desc, doc asc) order: %+v", got)
 	}
 }
 
 // TestScoreDocsEmpty covers the degenerate inputs.
 func TestScoreDocsEmpty(t *testing.T) {
+	t.Parallel()
 	ix := New()
 	ix.Add(1, "alpha beta")
-	if h := ix.ScoreDocs("", []int{1}); h != nil {
+	if h := scoreLabel(ix, "", []int{1}); len(h) != 0 {
 		t.Fatalf("empty query scored %+v", h)
 	}
-	if h := ix.ScoreDocs("alpha", nil); h != nil {
+	if h := scoreLabel(ix, "alpha", nil); len(h) != 0 {
 		t.Fatalf("empty candidates scored %+v", h)
 	}
-	if h := ix.ScoreDocs("zzzz qqqq", []int{1}); h != nil {
+	if h := scoreLabel(ix, "zzzz qqqq", []int{1}); len(h) != 0 {
 		t.Fatalf("zero-overlap query scored %+v", h)
+	}
+}
+
+// TestRetrieveMatchesSearch holds the hybrid retrieval to the exact
+// scorer. While every posting list is within rareCap the rare-token walk
+// alone reaches every scoring document, so Retrieve must equal Search
+// hit for hit. Once common tokens pass the cap, Retrieve may miss weak
+// common-token matches but must still score every hit it returns with
+// Search's exact float, in Search's order, and rank an indexed label's
+// own document first — through the LSH buckets when the label holds only
+// common tokens.
+func TestRetrieveMatchesSearch(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(24))
+	ix := New()
+	words := make([]string, 0, 400)
+	for i := 0; i < 250; i++ {
+		w := randASCIIWord(rng)
+		words = append(words, w)
+		ix.Add(i, fmt.Sprintf("%s %s %d", w, randASCIIWord(rng), i%11))
+	}
+	query := func(i int) string {
+		w := words[rng.Intn(len(words))]
+		switch i % 3 {
+		case 0:
+			return w[:len(w)-1] + "zq " + w // misspelling → fuzzy path
+		case 1:
+			return w + " " + randASCIIWord(rng)
+		}
+		return w
+	}
+	for i := 0; i < 300; i++ {
+		q := query(i)
+		if got, want := ix.Retrieve(q, 10), ix.Search(q, 10); !reflect.DeepEqual(got, want) {
+			t.Fatalf("all-rare index: Retrieve(%q) = %+v, Search = %+v", q, got, want)
+		}
+	}
+
+	// Grow "town" and "county" past the cap. Doc 400 shares only those
+	// common tokens with its own label, so only the LSH buckets reach it.
+	for i := 250; i < 400; i++ {
+		w := randASCIIWord(rng)
+		words = append(words, w)
+		ix.Add(i, fmt.Sprintf("%s town county", w))
+	}
+	ix.Add(400, "town county")
+	for i := 0; i < 300; i++ {
+		q := query(i)
+		if i%4 == 0 {
+			q += " town"
+		}
+		exact := make(map[int]float64)
+		for _, h := range ix.Search(q, ix.Len()) {
+			exact[h.Doc] = h.Score
+		}
+		got := ix.Retrieve(q, 10)
+		for _, h := range got {
+			if s, ok := exact[h.Doc]; !ok || s != h.Score {
+				t.Fatalf("Retrieve(%q) scored doc %d %v, Search %v", q, h.Doc, h.Score, s)
+			}
+		}
+		if !slices.IsSortedFunc(got, compareHits) {
+			t.Fatalf("Retrieve(%q) hits out of order: %+v", q, got)
+		}
+	}
+	for doc := 0; doc <= 400; doc += 8 {
+		l := ix.labels[doc][0]
+		if got, want := ix.Retrieve(l, 1), ix.Search(l, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Retrieve(%q) top = %+v, Search top = %+v", l, got, want)
+		}
+	}
+}
+
+// TestCloneIndependent proves a clone and its original each retrieve
+// exactly as a fresh index built from their own entries, after both grew
+// different documents under shared tokens concurrently.
+func TestCloneIndependent(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(25))
+	entries := batchCorpus(rng, 200)
+	base, grown := entries[:150:150], entries[150:]
+	moved := make([]Entry, len(grown))
+	for i, e := range grown {
+		moved[i] = Entry{Doc: e.Doc + 1000, Label: e.Label}
+	}
+	ix := New()
+	ix.AddBatch(base, 4)
+	cl := ix.Clone()
+	// Grow both sides at once: they share backing arrays, so the race
+	// detector checks that neither writes into the other's view.
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); ix.AddBatch(grown, 4) }()
+	go func() { defer wg.Done(); cl.AddBatch(moved, 4) }()
+	wg.Wait()
+	for _, c := range []struct {
+		name    string
+		got     *Index
+		entries []Entry
+	}{{"original", ix, entries}, {"clone", cl, append(base, moved...)}} {
+		want := New()
+		want.AddBatch(c.entries, 4)
+		for _, e := range entries {
+			if !reflect.DeepEqual(c.got.Search(e.Label, 10), want.Search(e.Label, 10)) {
+				t.Fatalf("%s: Search(%q) differs from a fresh build", c.name, e.Label)
+			}
+			if !reflect.DeepEqual(c.got.Retrieve(e.Label, 10), want.Retrieve(e.Label, 10)) {
+				t.Fatalf("%s: Retrieve(%q) differs from a fresh build", c.name, e.Label)
+			}
+		}
 	}
 }

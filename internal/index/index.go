@@ -5,33 +5,29 @@
 // Labels are tokenized with the shared normalizer; postings are scored with
 // TF-IDF, and fuzzy retrieval additionally admits index tokens within edit
 // distance one of any query token that has no exact posting of its own.
+// Search is the exact scorer over every posting; Retrieve is the
+// sub-linear hybrid (MinHash/LSH buckets plus a bounded rare-token posting
+// walk, re-ranked by the exact scorer; see internal/lsh).
 package index
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 
+	"repro/internal/lsh"
 	"repro/internal/par"
 	"repro/internal/strsim"
 )
 
-// scanFuzzy, when set, forces Search's fuzzy fallback onto the reference
-// length-bucketed vocabulary scan instead of the deletion-neighborhood
-// posting index. It exists for benchmarks (quantifying the index win) and
-// equivalence tests (both strategies must retrieve the same documents);
-// production code never sets it.
-var scanFuzzy atomic.Bool
-
-// SetScanFuzzy toggles the reference fuzzy-scan fallback. Benchmark and
-// test knob only.
-func SetScanFuzzy(v bool) { scanFuzzy.Store(v) }
-
 // Index is an inverted token index over string labels. Each added label is
 // associated with a caller-chosen document ID; several labels may share an
 // ID (e.g. an instance with multiple labels). All methods are safe for
-// concurrent use: Add takes the write lock, Search/SearchLabels/Labels/Len
+// concurrent use: Add/AddBatch take the write lock, Search/Retrieve/Len
 // take the read lock, so lookups may run while later batches add postings
 // (each lookup observes a consistent snapshot — either before or after any
 // concurrent Add, never a torn one).
@@ -40,10 +36,10 @@ type Index struct {
 	postings map[string][]posting // token -> docs containing it
 	docFreq  map[string]int       // token -> number of distinct docs
 	labels   map[int][]string     // doc -> normalized labels
-	// byLen buckets the vocabulary by token length. It backs the
-	// reference fuzzy scan (SetScanFuzzy), kept so benchmarks and
-	// equivalence tests can compare strategies.
-	byLen map[int][]string
+	// lsh files every posted label under its MinHash band buckets, fed
+	// under the write lock with the same normalized label, so Retrieve's
+	// bucket lookup and posting walk read one consistent state.
+	lsh *lsh.Index
 	// delNeighbors is the single-deletion neighborhood index behind the
 	// fuzzy fallback (the SymSpell construction): every vocabulary token
 	// is filed under itself and each of its one-rune-deleted variants.
@@ -52,11 +48,7 @@ type Index struct {
 	// same variant on a substitution), so a query token reaches its
 	// distance-1 vocabulary in O(|token|) map lookups plus a
 	// bounded-Levenshtein verification per candidate — instead of
-	// scanning every near-length vocabulary token. On ASCII vocabularies
-	// it retrieves exactly the tokens the reference scan did; on
-	// multi-byte vocabularies it additionally finds distance-1 tokens
-	// whose byte length differs by more than one (which the
-	// byte-length-bucketed scan missed).
+	// scanning every near-length vocabulary token.
 	//
 	// The index is sharded by the variant's first byte so AddBatch can
 	// build it in parallel: each worker owns a disjoint set of shards, so
@@ -94,31 +86,40 @@ func New() *Index {
 		postings: make(map[string][]posting),
 		docFreq:  make(map[string]int),
 		labels:   make(map[int][]string),
-		byLen:    make(map[int][]string),
+		lsh:      lsh.NewIndex(lsh.DefaultParams()),
 	}
 }
 
 // Add indexes label under the document ID doc.
 func (ix *Index) Add(doc int, label string) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for _, t := range ix.post(nil, doc, label) {
+		ix.indexDeletions(t)
+	}
+}
+
+// post files one label under doc — its normalized form, its LSH buckets,
+// and a tf posting and document-frequency count per distinct token — and
+// appends the tokens new to the vocabulary to dst. Tokens are posted in
+// sorted order, so the vocabulary's discovery order (which fixes the
+// deletion-neighborhood lists) never inherits Go's randomized map
+// iteration. The caller holds the write lock.
+func (ix *Index) post(dst []string, doc int, label string) []string {
 	toks := strsim.Tokens(label)
 	if len(toks) == 0 {
-		return
+		return dst
 	}
 	norm := strsim.Normalize(label)
 	counts := make(map[string]int, len(toks))
 	for _, t := range toks {
 		counts[t]++
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	if _, seen := ix.labels[doc]; !seen {
 		ix.numDocs++
 	}
 	ix.labels[doc] = append(ix.labels[doc], norm)
-	// Insert tokens in sorted order: the byLen buckets drive the order of
-	// the fuzzy pass's float accumulation, which must not inherit Go's
-	// randomized map iteration (the repo's outputs are bit-identical
-	// across runs).
+	ix.lsh.Add(doc, norm)
 	ts := make([]string, 0, len(counts))
 	for t := range counts {
 		ts = append(ts, t)
@@ -131,11 +132,11 @@ func (ix *Index) Add(doc int, label string) {
 			ix.docFreq[t]++
 		}
 		if len(ps) == 0 {
-			ix.byLen[len(t)] = append(ix.byLen[len(t)], t)
-			ix.indexDeletions(t)
+			dst = append(dst, t)
 		}
 		ix.postings[t] = append(ps, posting{doc: doc, tf: float64(counts[t]) / float64(len(toks))})
 	}
+	return dst
 }
 
 // Entry is one (document, label) pair for AddBatch.
@@ -150,7 +151,7 @@ type Entry struct {
 // write lock is held for the whole batch, so concurrent readers observe
 // either none or all of it.
 //
-// Determinism: postings, document frequencies, and byLen buckets are built
+// Determinism: postings, document frequencies, and LSH buckets are built
 // serially in entry order, exactly as repeated Adds would. The parallel
 // phases cannot reorder anything — variant computation is pure, and the
 // per-shard insertion phase groups (variant, token) pairs by shard in token
@@ -163,35 +164,7 @@ func (ix *Index) AddBatch(entries []Entry, workers int) {
 	// Phase 1: serial postings build, collecting first-seen vocabulary.
 	var newTokens []string
 	for _, e := range entries {
-		toks := strsim.Tokens(e.Label)
-		if len(toks) == 0 {
-			continue
-		}
-		norm := strsim.Normalize(e.Label)
-		counts := make(map[string]int, len(toks))
-		for _, t := range toks {
-			counts[t]++
-		}
-		if _, seen := ix.labels[e.Doc]; !seen {
-			ix.numDocs++
-		}
-		ix.labels[e.Doc] = append(ix.labels[e.Doc], norm)
-		ts := make([]string, 0, len(counts))
-		for t := range counts {
-			ts = append(ts, t)
-		}
-		sort.Strings(ts)
-		for _, t := range ts {
-			ps := ix.postings[t]
-			if len(ps) == 0 || ps[len(ps)-1].doc != e.Doc {
-				ix.docFreq[t]++
-			}
-			if len(ps) == 0 {
-				ix.byLen[len(t)] = append(ix.byLen[len(t)], t)
-				newTokens = append(newTokens, t)
-			}
-			ix.postings[t] = append(ps, posting{doc: e.Doc, tf: float64(counts[t]) / float64(len(toks))})
-		}
+		newTokens = ix.post(newTokens, e.Doc, e.Label)
 	}
 	if len(newTokens) == 0 {
 		return
@@ -233,17 +206,35 @@ func (ix *Index) Len() int {
 	return ix.numDocs
 }
 
-// Labels returns the normalized labels stored for doc. The returned slice
-// is a copy the caller may retain while concurrent Adds extend the doc.
-func (ix *Index) Labels(doc int) []string {
+// Clone returns an independent copy of the index, LSH buckets included.
+// Posting, label and neighborhood slices are shared with their capacity
+// clipped to their length, so a later append on either side reallocates
+// instead of writing into the other's view; nothing is re-tokenized.
+func (ix *Index) Clone() *Index {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ls := ix.labels[doc]
-	if ls == nil {
-		return nil
+	nc := &Index{
+		postings: clipped(ix.postings),
+		docFreq:  maps.Clone(ix.docFreq),
+		labels:   clipped(ix.labels),
+		lsh:      ix.lsh.Clone(),
+		numDocs:  ix.numDocs,
 	}
-	out := make([]string, len(ls))
-	copy(out, ls)
+	for s, m := range ix.delNeighbors {
+		if m != nil {
+			nc.delNeighbors[s] = clipped(m)
+		}
+	}
+	return nc
+}
+
+// clipped copies a map of slices, sharing each slice's backing array with
+// its capacity clipped to its length.
+func clipped[K comparable, V any](m map[K][]V) map[K][]V {
+	out := make(map[K][]V, len(m))
+	for k, v := range m {
+		out[k] = v[:len(v):len(v)]
+	}
 	return out
 }
 
@@ -253,12 +244,54 @@ type Hit struct {
 	Score float64
 }
 
+// term is one index token an expanded query scores through: a query token
+// with postings of its own, or a vocabulary token within edit distance one
+// of a query token without any (fuzzy, weighted by half).
+type term struct {
+	tok   string
+	ps    []posting
+	idf   float64
+	fuzzy bool
+}
+
+// weight is the score a posting of tf contributes through the term.
+func (t term) weight(tf float64) float64 {
+	if t.fuzzy {
+		return 0.5 * tf * t.idf
+	}
+	return tf * t.idf
+}
+
+// appendTerms expands query tokens into the terms that score them, in the
+// one accumulation order every scorer follows (query tokens in order,
+// sorted fuzzy variants within a token), so float sums are identical
+// across scorers and runs. Query tokens shorter than minFuzzyQueryLen
+// without a posting contribute nothing: an edit on a 1-3 letter token
+// changes its identity. The caller holds the read lock.
+func (ix *Index) appendTerms(dst []term, toks []string) []term {
+	for _, t := range toks {
+		if ps, ok := ix.postings[t]; ok {
+			dst = append(dst, term{tok: t, ps: ps, idf: ix.idf(t)})
+			continue
+		}
+		if len(t) < minFuzzyQueryLen {
+			continue
+		}
+		for _, vt := range ix.fuzzyMatches(t) {
+			dst = append(dst, term{tok: vt, ps: ix.postings[vt], idf: ix.idf(vt), fuzzy: true})
+		}
+	}
+	return dst
+}
+
 // Search returns up to k documents whose labels best match the query label,
 // scored by TF-IDF over shared tokens. Query tokens without any exact
 // posting fall back individually to a fuzzy pass that admits index tokens
 // within Levenshtein distance 1 (distance-penalized), which keeps recall up
 // for misspelled long-tail labels even when the query's other tokens match
 // exactly — "beatles yeserday" still reaches the documents of "yesterday".
+// Search walks every posting of every query term; Retrieve is its
+// sub-linear counterpart.
 func (ix *Index) Search(label string, k int) []Hit {
 	toks := strsim.Tokens(label)
 	if len(toks) == 0 || k <= 0 {
@@ -267,30 +300,11 @@ func (ix *Index) Search(label string, k int) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 
+	var buf [8]term
 	scores := make(map[int]float64)
-	for _, t := range toks {
-		if ps, ok := ix.postings[t]; ok {
-			idf := ix.idf(t)
-			for _, p := range ps {
-				scores[p.doc] += p.tf * idf
-			}
-			continue
-		}
-		// Fuzzy fallback, per token: admit vocabulary tokens within edit
-		// distance one, distance-penalized. Short tokens are excluded
-		// (an edit on a 1-3 letter token changes its identity). The
-		// candidates come from the deletion-neighborhood index (or the
-		// reference scan when SetScanFuzzy is forced), verified with the
-		// bounded Levenshtein, and are accumulated in sorted order so
-		// float summation order is fixed across runs.
-		if len(t) < minFuzzyQueryLen {
-			continue
-		}
-		for _, vt := range ix.fuzzyMatches(t) {
-			idf := ix.idf(vt)
-			for _, p := range ix.postings[vt] {
-				scores[p.doc] += 0.5 * p.tf * idf
-			}
+	for _, t := range ix.appendTerms(buf[:0], toks) {
+		for _, p := range t.ps {
+			scores[p.doc] += t.weight(p.tf)
 		}
 	}
 	if len(scores) == 0 {
@@ -300,87 +314,88 @@ func (ix *Index) Search(label string, k int) []Hit {
 	for doc, s := range scores {
 		hits = append(hits, Hit{Doc: doc, Score: s})
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc < hits[j].Doc
-	})
+	slices.SortFunc(hits, compareHits)
 	if len(hits) > k {
 		hits = hits[:k]
 	}
 	return hits
 }
 
-// ScoreDocs scores the given candidate documents against the query label
-// with exactly the TF-IDF computation Search uses, returning every
-// candidate with a nonzero score sorted by (score desc, doc asc), without
-// truncation. It exists as the re-rank half of LSH retrieval: when the
-// candidate set covers Search's top-k documents, the truncated ScoreDocs
-// ranking is float-for-float identical to Search's, because each document's
-// score is accumulated in the same order (query tokens in order, sorted
-// fuzzy variants within a token, the document's labels in insertion order)
-// with the same tf and idf factors. Documents not in the index and
-// zero-overlap candidates are omitted. docs must not contain duplicates.
-func (ix *Index) ScoreDocs(label string, docs []int) []Hit {
-	toks := strsim.Tokens(label)
-	if len(toks) == 0 || len(docs) == 0 {
+// rareCap bounds the posting lists Retrieve walks in full. Tokens whose
+// lists stay within it are exactly the high-IDF tokens whose single-token
+// matches can rank above the relative score floors downstream — and whose
+// posting walks are cheap by the same definition.
+const rareCap = 64
+
+// Retrieve returns up to k documents ranked as Search ranks them, scoring
+// only a candidate set whose size does not grow with the corpus: the
+// documents sharing a MinHash band bucket with the query, unioned with
+// every posting of a query term whose posting list holds at most rareCap
+// entries. The union is re-scored by scoreDocs with Search's exact floats
+// and tie-breaks, so Retrieve equals Search whenever the candidates cover
+// Search's top k (internal/lsh, "Hybrid retrieval", explains why the two
+// halves cover it). The whole recipe runs under one read lock.
+func (ix *Index) Retrieve(label string, k int) []Hit {
+	norm := strsim.Normalize(label)
+	toks := strings.Fields(norm)
+	if len(toks) == 0 || k <= 0 {
 		return nil
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 
-	// Expand the query once: each contribution is an index token paired
-	// with its weight factors, in Search's accumulation order.
-	type contrib struct {
-		tok   string
-		idf   float64
-		fuzzy bool
-	}
-	contribs := make([]contrib, 0, len(toks))
-	for _, t := range toks {
-		if _, ok := ix.postings[t]; ok {
-			contribs = append(contribs, contrib{tok: t, idf: ix.idf(t)})
-			continue
-		}
-		if len(t) < minFuzzyQueryLen {
-			continue
-		}
-		for _, vt := range ix.fuzzyMatches(t) {
-			contribs = append(contribs, contrib{tok: vt, idf: ix.idf(vt), fuzzy: true})
-		}
-	}
-	if len(contribs) == 0 {
+	var buf [8]term
+	terms := ix.appendTerms(buf[:0], toks)
+	if len(terms) == 0 {
 		return nil
 	}
+	docs := ix.lsh.AppendQuery(nil, norm)
+	// Rare-token postings: a match sharing only one rare token with the
+	// query sits at a low Jaccard similarity, where banding collides
+	// rarely, yet can carry enough IDF mass to belong in the top hits.
+	// Common tokens stay excluded; matches through them need several
+	// shared tokens to rank, the regime banding covers.
+	for _, t := range terms {
+		if len(t.ps) <= rareCap {
+			for _, p := range t.ps {
+				docs = append(docs, p.doc)
+			}
+		}
+	}
+	slices.Sort(docs)
+	hits := ix.scoreDocs(terms, slices.Compact(docs))
+	if len(hits) > k {
+		hits = hits[:k]
+	}
+	return hits
+}
 
+// scoreDocs scores the candidate documents against the expanded query
+// with exactly Search's TF-IDF floats and returns every candidate with a
+// nonzero score, sorted like Search's hits, without truncation. Each
+// document's score is accumulated in Search's order (terms in order, the
+// document's labels in insertion order) from the tf the posting stored, so
+// a truncated scoreDocs ranking is float-for-float Search's whenever the
+// candidates cover its top hits. Documents not in the index are omitted;
+// docs must not contain duplicates. The caller holds the read lock.
+func (ix *Index) scoreDocs(terms []term, docs []int) []Hit {
 	hits := make([]Hit, 0, len(docs))
 	for _, d := range docs {
 		labels := ix.labels[d]
-		if len(labels) == 0 {
-			continue
-		}
 		score, found := 0.0, false
-		for _, c := range contribs {
+		for _, t := range terms {
 			for _, l := range labels {
 				lt := strsim.PrepareCached(l).Tokens
 				n := 0
 				for _, x := range lt {
-					if x == c.tok {
+					if x == t.tok {
 						n++
 					}
 				}
 				if n == 0 {
 					continue
 				}
-				// The same floats Add stored in the posting: tf is
-				// count/len for this label, multiplied in Search's order.
-				tf := float64(n) / float64(len(lt))
-				if c.fuzzy {
-					score += 0.5 * tf * c.idf
-				} else {
-					score += tf * c.idf
-				}
+				score += t.weight(float64(n) / float64(len(lt)))
 				found = true
 			}
 		}
@@ -388,99 +403,13 @@ func (ix *Index) ScoreDocs(label string, docs []int) []Hit {
 			hits = append(hits, Hit{Doc: d, Score: score})
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc < hits[j].Doc
-	})
+	slices.SortFunc(hits, compareHits)
 	return hits
 }
 
-// DefaultRareCap is the posting-list length bound of AppendRareDocs used
-// by the LSH retrieval paths. Tokens whose document frequency stays within
-// the cap are exactly the high-IDF tokens whose single-token matches can
-// rank above the relative score floors downstream — and whose posting
-// walks are cheap by the same definition.
-const DefaultRareCap = 64
-
-// AppendRareDocs appends to dst every document posted under a query token
-// whose posting list holds at most maxDocs documents, fuzzy-expanding
-// query tokens without an exact posting exactly as Search does. It is the
-// complement of MinHash retrieval: a match sharing only one rare token
-// with the query sits at a low Jaccard similarity, where banding collides
-// rarely, yet can carry enough IDF mass to belong in the exact top hits.
-// IDF is invisible to MinHash signatures, so those matches are retrieved
-// directly from the (bounded, by construction) postings instead. Common
-// tokens — the ones whose posting lists grow with the corpus — stay
-// excluded; matches through them need several shared tokens to rank,
-// which is the high-similarity regime banding does cover.
-//
-// The result may contain duplicates and is unsorted; callers union it
-// with the LSH candidates via SortDedupDocs before ScoreDocs.
-func (ix *Index) AppendRareDocs(dst []int, label string, maxDocs int) []int {
-	toks := strsim.Tokens(label)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for _, t := range toks {
-		if ps, ok := ix.postings[t]; ok {
-			if len(ps) <= maxDocs {
-				for _, p := range ps {
-					dst = append(dst, p.doc)
-				}
-			}
-			continue
-		}
-		if len(t) < minFuzzyQueryLen {
-			continue
-		}
-		for _, vt := range ix.fuzzyMatches(t) {
-			if ps := ix.postings[vt]; len(ps) <= maxDocs {
-				for _, p := range ps {
-					dst = append(dst, p.doc)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// SortDedupDocs sorts docs ascending and removes duplicates in place,
-// returning the shortened slice — the candidate-set union step between
-// retrieval (LSH buckets plus rare-token postings) and ScoreDocs, which
-// requires duplicate-free input.
-func SortDedupDocs(docs []int) []int {
-	if len(docs) < 2 {
-		return docs
-	}
-	sort.Ints(docs)
-	n := 1
-	for _, d := range docs[1:] {
-		if d != docs[n-1] {
-			docs[n] = d
-			n++
-		}
-	}
-	return docs[:n]
-}
-
-// SearchLabels returns the distinct normalized labels of the top-k hits for
-// the query. Blocking uses this to assign rows to label blocks.
-func (ix *Index) SearchLabels(label string, k int) []string {
-	hits := ix.Search(label, k)
-	seen := make(map[string]bool)
-	var out []string
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for _, h := range hits {
-		for _, l := range ix.labels[h.Doc] {
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
-			}
-		}
-	}
-	return out
+// compareHits orders hits by score descending, then doc ascending.
+func compareHits(a, b Hit) int {
+	return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Doc, b.Doc))
 }
 
 // appendDeletionVariants appends t's neighborhood entries — t itself and
@@ -513,13 +442,8 @@ func (ix *Index) indexDeletions(t string) {
 
 // fuzzyMatches returns the vocabulary tokens within edit distance exactly
 // one of query token t, sorted (fixed float accumulation order for the
-// caller). With SetScanFuzzy forced it runs the reference length-bucketed
-// scan instead, in the scan's historical bucket order. The caller holds
-// the read lock.
+// caller). The caller holds the read lock.
 func (ix *Index) fuzzyMatches(t string) []string {
-	if scanFuzzy.Load() {
-		return ix.scanMatches(t)
-	}
 	// Gather candidate tokens sharing a deletion-neighborhood entry with
 	// t: the entry of t itself (insertions into t and t's own postings —
 	// the latter cannot occur, Search only falls back for tokens without
@@ -568,21 +492,6 @@ func (ix *Index) fuzzyMatches(t string) []string {
 	}
 	sort.Strings(matches)
 	return matches
-}
-
-// scanMatches is the pre-optimization fuzzy fallback: scan the
-// byte-length buckets within ±1 of the query token and keep distance-1
-// tokens, in bucket insertion order.
-func (ix *Index) scanMatches(t string) []string {
-	var out []string
-	for l := len(t) - 1; l <= len(t)+1; l++ {
-		for _, vt := range ix.byLen[l] {
-			if strsim.LevenshteinBounded(vt, t, 1) == 1 {
-				out = append(out, vt)
-			}
-		}
-	}
-	return out
 }
 
 func (ix *Index) idf(tok string) float64 {

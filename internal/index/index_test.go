@@ -109,22 +109,12 @@ func TestMultipleLabelsPerDoc(t *testing.T) {
 	if ix.Len() != 1 {
 		t.Errorf("Len = %d, want 1", ix.Len())
 	}
-	if ls := ix.Labels(7); len(ls) != 2 {
-		t.Errorf("Labels = %v", ls)
+	if ls := ix.labels[7]; len(ls) != 2 {
+		t.Errorf("labels = %v", ls)
 	}
 	hits := ix.Search("NYC", 5)
 	if len(hits) != 1 || hits[0].Doc != 7 {
 		t.Errorf("alias search = %v", hits)
-	}
-}
-
-func TestSearchLabels(t *testing.T) {
-	ix := New()
-	ix.Add(1, "Springfield")
-	ix.Add(2, "Springfield Heights")
-	labels := ix.SearchLabels("springfield", 10)
-	if len(labels) != 2 {
-		t.Errorf("SearchLabels = %v", labels)
 	}
 }
 
@@ -160,10 +150,12 @@ func TestConcurrentAdd(t *testing.T) {
 }
 
 // TestConcurrentAddSearch exercises the full concurrency contract under
-// the race detector: Search, SearchLabels, Labels and Len run while other
-// goroutines add postings — the mode the incremental ingestion engine
-// relies on (lookups keep serving while later batches grow the index).
+// the race detector: Search, Retrieve (LSH buckets and postings read under
+// one lock) and Len run while other goroutines add postings — the mode the
+// incremental ingestion engine relies on (lookups keep serving while later
+// batches grow the index).
 func TestConcurrentAddSearch(t *testing.T) {
+	t.Parallel()
 	ix := New()
 	for i := 0; i < 20; i++ {
 		ix.Add(i, fmt.Sprintf("seed town %d", i))
@@ -191,8 +183,10 @@ func TestConcurrentAddSearch(t *testing.T) {
 					return
 				}
 				ix.Search("grwn", 5) // fuzzy path scans the vocabulary
-				ix.SearchLabels("seed town 3", 4)
-				ix.Labels(5)
+				if hits := ix.Retrieve("seed town 3", 4); len(hits) == 0 || hits[0].Doc != 3 {
+					t.Errorf("Retrieve lost seed doc 3 mid-growth: %v", hits)
+					return
+				}
 				ix.Len()
 			}
 		}()
@@ -206,19 +200,6 @@ func TestConcurrentAddSearch(t *testing.T) {
 	hits := ix.Search("alias 142", 5)
 	if len(hits) == 0 || hits[0].Doc != 142 {
 		t.Errorf("post-growth search = %v, want doc 142", hits)
-	}
-}
-
-func TestLabelsReturnsCopy(t *testing.T) {
-	ix := New()
-	ix.Add(1, "Alpha Beta")
-	ls := ix.Labels(1)
-	if len(ls) != 1 {
-		t.Fatalf("Labels = %v", ls)
-	}
-	ls[0] = "mutated"
-	if again := ix.Labels(1); again[0] != "alpha beta" {
-		t.Errorf("Labels returned internal storage: %v", again)
 	}
 }
 
@@ -237,7 +218,7 @@ func TestSelfRetrievalProperty(t *testing.T) {
 			label += " " + w
 		}
 		ix.Add(42, label)
-		if len(ix.Labels(42)) == 0 {
+		if len(ix.labels[42]) == 0 {
 			return true // label normalized to nothing; nothing to assert
 		}
 		hits := ix.Search(label, 5)

@@ -30,12 +30,29 @@ func candidateCorpus(rng *rand.Rand, n int) []*Instance {
 	return ins
 }
 
+// searchIDs returns the instance IDs of SearchInstances, the exact
+// reference Candidates is held to.
+func searchIDs(t *testing.T, k *KB, q string, opts CandidateOpts) []InstanceID {
+	t.Helper()
+	hits, err := k.SearchInstances(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []InstanceID
+	for _, h := range hits {
+		ids = append(ids, h.Instance)
+	}
+	return ids
+}
+
 // TestCandidatesLSHEquivalence compares the LSH candidate path against the
-// reference full search: deterministic output, identical relative order of
-// shared candidates (both paths rank with the same exact scores), and
-// candidate-set recall at or above the stated floor — including misspelled
-// queries, which exercise the trigram recall of the LSH buckets.
+// exact SearchInstances on an adversarial narrow vocabulary: deterministic
+// output, identical relative order of shared candidates (both paths rank
+// with the same exact scores), and candidate-set recall at or above the
+// stated floor — including misspelled queries, which exercise the trigram
+// recall of the LSH buckets.
 func TestCandidatesLSHEquivalence(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(51))
 	k := New()
 	ins := candidateCorpus(rng, 300)
@@ -61,9 +78,7 @@ func TestCandidatesLSHEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got, got2) {
 			t.Fatalf("Candidates(%q) not deterministic: %v vs %v", q, got, got2)
 		}
-		SetScanCandidates(true)
-		ref := k.Candidates(q, opts)
-		SetScanCandidates(false)
+		ref := searchIDs(t, k, q, opts)
 		// Relative order of shared members must match (same score floats,
 		// same tie-break on both paths).
 		pos := make(map[InstanceID]int, len(got))
@@ -89,10 +104,11 @@ func TestCandidatesLSHEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchInstancesStaysExact proves the serving path ignores the LSH
-// index entirely: its results are identical whether or not the reference
-// toggle is set.
+// TestSearchInstancesStaysExact proves the serving path ranks with the
+// exact label search: its hits are the global index's exact top 3·K,
+// class-filtered and cut to K, with the exact scores.
 func TestSearchInstancesStaysExact(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(52))
 	k := New()
 	for _, in := range candidateCorpus(rng, 120) {
@@ -100,18 +116,18 @@ func TestSearchInstancesStaysExact(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		q := candidateCorpus(rng, 1)[0].Labels[0]
-		a, err := k.SearchInstances(context.Background(), q, CandidateOpts{K: 10})
+		got, err := k.SearchInstances(context.Background(), q, CandidateOpts{K: 10, Class: ClassSong})
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetScanCandidates(true)
-		b, err := k.SearchInstances(context.Background(), q, CandidateOpts{K: 10})
-		SetScanCandidates(false)
-		if err != nil {
-			t.Fatal(err)
+		var want []SearchHit
+		for _, h := range k.globalIx.Search(q, 30) {
+			if len(want) < 10 && k.SharesParent(k.InstanceClass(InstanceID(h.Doc)), ClassSong) {
+				want = append(want, SearchHit{Instance: InstanceID(h.Doc), Score: h.Score})
+			}
 		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("SearchInstances(%q) changed under the candidates toggle", q)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("SearchInstances(%q) = %v, exact reference %v", q, got, want)
 		}
 	}
 }

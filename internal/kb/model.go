@@ -9,22 +9,9 @@ import (
 
 	"repro/internal/dtype"
 	"repro/internal/index"
-	"repro/internal/lsh"
 	"repro/internal/par"
 	"repro/internal/strsim"
 )
-
-// scanCandidates, when set, forces the pipeline's Candidates retrieval onto
-// the reference full-index search instead of LSH retrieval plus exact
-// re-ranking. It mirrors index.SetScanFuzzy: an equivalence-test and
-// benchmark knob so recall is verified against the reference, not assumed;
-// production code never sets it. SearchInstances (the serving path) always
-// uses the reference search regardless.
-var scanCandidates atomic.Bool
-
-// SetScanCandidates toggles the reference candidate-retrieval path.
-// Benchmark and test knob only.
-func SetScanCandidates(v bool) { scanCandidates.Store(v) }
 
 // ClassID identifies a class in the knowledge base ontology.
 type ClassID string
@@ -136,15 +123,11 @@ type KB struct {
 	// ProvenanceIngest) in insertion order — the persistence order of
 	// snapshot segments.
 	ingested []InstanceID
-	// labelIdx supports candidate selection: one label index per
-	// evaluation class plus a global one.
-	labelIdx map[ClassID]*index.Index
+	// globalIx is the label index over every instance label (§3.4
+	// candidate selection). The pipeline's Candidates path uses its
+	// sub-linear Retrieve; the serving path's SearchInstances its exact
+	// Search.
 	globalIx *index.Index
-	// cand is the LSH candidate index over all instance labels: the
-	// pipeline's Candidates path retrieves from its buckets in
-	// near-constant time and re-ranks the survivors through globalIx's
-	// exact scorer, so retrieval cost no longer grows with the KB.
-	cand *lsh.Index
 }
 
 // New returns an empty knowledge base preloaded with the ontology used
@@ -155,9 +138,7 @@ func New() *KB {
 		classes:  make(map[ClassID]*Class),
 		strs:     strsim.NewInterner(),
 		storeOf:  make(map[ClassID]uint32),
-		labelIdx: make(map[ClassID]*index.Index),
 		globalIx: index.New(),
-		cand:     lsh.NewIndex(lsh.DefaultParams()),
 	}
 	for _, c := range defaultOntology() {
 		kb.AddClass(c)
@@ -217,9 +198,6 @@ func (kb *KB) Version() uint64 { return kb.version.Load() }
 func (kb *KB) AddClass(c *Class) {
 	kb.mu.Lock()
 	kb.classes[c.ID] = c
-	if _, ok := kb.labelIdx[c.ID]; !ok {
-		kb.labelIdx[c.ID] = index.New()
-	}
 	kb.mu.Unlock()
 	kb.version.Add(1)
 }
@@ -366,22 +344,17 @@ func (kb *KB) AddInstance(in *Instance) InstanceID {
 	if in.Provenance == ProvenanceIngest {
 		kb.ingested = append(kb.ingested, in.ID)
 	}
-	classIx := kb.labelIdx[in.Class]
 	kb.mu.Unlock()
 
 	for _, l := range in.Labels {
 		kb.globalIx.Add(int(in.ID), l)
-		kb.cand.Add(int(in.ID), strsim.Normalize(l))
-		if classIx != nil {
-			classIx.Add(int(in.ID), l)
-		}
 	}
 	kb.version.Add(1)
 	return in.ID
 }
 
 // AddInstances stores a batch of instances, equivalent to calling
-// AddInstance for each in order, but builds the label indexes in bulk: the
+// AddInstance for each in order, but builds the label index in bulk: the
 // deletion-neighborhood construction — the dominant cost of a warm restart
 // that replays a written-back KB — parallelizes across index.AddBatch's
 // workers. The version counter is bumped once for the whole batch.
@@ -391,7 +364,6 @@ func (kb *KB) AddInstances(ins []*Instance) []InstanceID {
 	}
 	kb.mu.Lock()
 	ids := make([]InstanceID, len(ins))
-	classIxs := make([]*index.Index, len(ins))
 	for i, in := range ins {
 		in.ID = InstanceID(len(kb.locs))
 		ids[i] = in.ID
@@ -401,26 +373,16 @@ func (kb *KB) AddInstances(ins []*Instance) []InstanceID {
 		if in.Provenance == ProvenanceIngest {
 			kb.ingested = append(kb.ingested, in.ID)
 		}
-		classIxs[i] = kb.labelIdx[in.Class]
 	}
 	kb.mu.Unlock()
 
-	workers := par.DefaultWorkers()
-	var global []index.Entry
-	perClass := make(map[*index.Index][]index.Entry)
-	for i, in := range ins {
+	var entries []index.Entry
+	for _, in := range ins {
 		for _, l := range in.Labels {
-			global = append(global, index.Entry{Doc: int(in.ID), Label: l})
-			kb.cand.Add(int(in.ID), strsim.Normalize(l))
-			if ix := classIxs[i]; ix != nil {
-				perClass[ix] = append(perClass[ix], index.Entry{Doc: int(in.ID), Label: l})
-			}
+			entries = append(entries, index.Entry{Doc: int(in.ID), Label: l})
 		}
 	}
-	kb.globalIx.AddBatch(global, workers)
-	for ix, entries := range perClass {
-		ix.AddBatch(entries, workers)
-	}
+	kb.globalIx.AddBatch(entries, par.DefaultWorkers())
 	kb.version.Add(1)
 	return ids
 }
@@ -498,9 +460,10 @@ type SearchHit struct {
 }
 
 // SearchInstances returns up to opts.K instances whose labels best match
-// the query via the global label index, with retrieval scores, applying
-// the class restriction of §3.4. The serve layer's fuzzy search endpoint
-// is a thin wrapper over this.
+// the query via the global label index's exact search, with retrieval
+// scores, applying the class restriction of §3.4. The serve layer's fuzzy
+// search endpoint is a thin wrapper over this, and it is the reference
+// Candidates is held to.
 //
 // The class filter is applied to the global top 3·K hits (the paper's
 // bounded candidate-selection heuristic, shared with Candidates so serving
@@ -518,7 +481,7 @@ func (kb *KB) SearchInstances(ctx context.Context, label string, opts CandidateO
 		}
 	}
 	var out []SearchHit
-	kb.filteredHits(ctx, label, opts, false, func(id InstanceID, _ ClassID, score float64) {
+	kb.filterHits(kb.globalIx.Search(label, 3*candidateK(opts)), opts, func(id InstanceID, score float64) {
 		out = append(out, SearchHit{Instance: id, Score: score})
 	})
 	if ctx != nil {
@@ -530,50 +493,33 @@ func (kb *KB) SearchInstances(ctx context.Context, label string, opts CandidateO
 }
 
 // Candidates returns candidate instances for a label using the label index,
-// applying the class restriction of §3.4. It shares the retrieval walk
-// with SearchInstances but emits IDs directly — this is the pipeline's
-// hottest retrieval path (blocking, implicit attributes, new detection),
-// so it must not pay for scored hits it would throw away. Retrieval goes
-// through the LSH candidate index unioned with a bounded rare-token
-// posting walk, re-ranked by the exact scorer (identical results whenever
-// the candidates cover the reference's top hits — the recall-equivalence
-// tests assert they do); SetScanCandidates forces the reference search
-// instead.
+// applying the class restriction of §3.4. This is the pipeline's hottest
+// retrieval path (blocking, implicit attributes, new detection), so it
+// retrieves through the index's sub-linear Retrieve instead of the exact
+// Search and emits IDs without scores. Retrieve re-ranks with the exact
+// scorer, so the result equals SearchInstances' IDs whenever its
+// candidates cover the exact top hits (the equivalence tests assert they
+// do over the seed scenarios).
 func (kb *KB) Candidates(label string, opts CandidateOpts) []InstanceID {
 	var out []InstanceID
-	kb.filteredHits(nil, label, opts, !scanCandidates.Load(), func(id InstanceID, _ ClassID, _ float64) {
+	kb.filterHits(kb.globalIx.Retrieve(label, 3*candidateK(opts)), opts, func(id InstanceID, _ float64) {
 		out = append(out, id)
 	})
 	return out
 }
 
-// filteredHits walks the top class-filtered index hits for label, calling
-// visit for each of up to opts.K surviving instances. A non-nil cancelled
-// ctx skips the index walk entirely (the pipeline's Candidates path passes
-// nil and pays nothing). With useLSH the top hits come from LSH bucket
-// retrieval re-ranked by the exact scorer; otherwise from the reference
-// full search. Both orderings use the same floats and tie-breaks, so the
-// class-filtering walk behaves identically.
-func (kb *KB) filteredHits(ctx context.Context, label string, opts CandidateOpts, useLSH bool, visit func(InstanceID, ClassID, float64)) {
-	k := opts.K
-	if k <= 0 {
-		k = 20
+// candidateK is opts.K with its default applied.
+func candidateK(opts CandidateOpts) int {
+	if opts.K <= 0 {
+		return 20
 	}
-	if ctx != nil && ctx.Err() != nil {
-		return
-	}
-	var hits []index.Hit
-	if useLSH {
-		norm := strsim.Normalize(label)
-		docs := kb.cand.AppendQuery(nil, norm)
-		docs = kb.globalIx.AppendRareDocs(docs, norm, index.DefaultRareCap)
-		hits = kb.globalIx.ScoreDocs(norm, index.SortDedupDocs(docs))
-		if len(hits) > k*3 {
-			hits = hits[:k*3]
-		}
-	} else {
-		hits = kb.globalIx.Search(label, k*3)
-	}
+	return opts.K
+}
+
+// filterHits walks ranked index hits, calling visit for each of up to
+// opts.K instances that pass the class restriction.
+func (kb *KB) filterHits(hits []index.Hit, opts CandidateOpts, visit func(InstanceID, float64)) {
+	k := candidateK(opts)
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
 	n := 0
@@ -585,7 +531,7 @@ func (kb *KB) filteredHits(ctx context.Context, label string, opts CandidateOpts
 		if opts.Class != "" && !kb.sharesParentLocked(class, opts.Class) {
 			continue
 		}
-		visit(InstanceID(h.Doc), class, h.Score)
+		visit(InstanceID(h.Doc), h.Score)
 		n++
 		if n == k {
 			break

@@ -35,18 +35,18 @@
 // MinHash is blind to token weight: a match sharing a single rare,
 // high-IDF token with the query sits at low Jaccard similarity — on the
 // banding curve's low shoulder — yet can legitimately rank among the
-// exact scorer's top hits. Callers therefore union the bucket candidates
-// with a bounded rare-token posting walk (index.AppendRareDocs): every
-// posting of a query token whose document frequency is within a fixed cap
-// is admitted directly. The two halves complement exactly — rare-token
-// matches are cheap to walk by definition, and matches through common
-// (past-cap) tokens need several shared tokens to outrank the floor,
-// which is the high-similarity regime banding covers. The union is then
-// re-ranked with the exact TF-IDF scorer (index.ScoreDocs), so retrieval
-// order and tie-breaking are identical to the reference path whenever the
-// candidate set covers the reference's top hits; the equivalence test in
-// internal/core asserts identical end-to-end output over the seed
-// scenarios.
+// exact scorer's top hits. The label index (internal/index, Retrieve)
+// therefore owns an Index of this package and unions its bucket
+// candidates with a bounded rare-token posting walk: every posting of a
+// query token whose document frequency is within a fixed cap is admitted
+// directly. The two halves complement exactly — rare-token matches are
+// cheap to walk by definition, and matches through common (past-cap)
+// tokens need several shared tokens to outrank the floor, which is the
+// high-similarity regime banding covers. The union is then re-ranked with
+// the exact TF-IDF scorer under the same read lock, so retrieval order and
+// tie-breaking are identical to the exact search whenever the candidate
+// set covers its top hits; the equivalence tests in internal/cluster and
+// internal/core assert per-call identity over the seed scenarios.
 //
 // # Determinism
 //
