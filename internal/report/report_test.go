@@ -2,12 +2,133 @@ package report
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/kb"
+	"repro/internal/par"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/tables.golden from the current source")
+
+// goldenFile is the checked-in rendering of every paper table over the
+// test suite's world (world 0.18, corpus 0.10, seed 1), generated on
+// linux/amd64.
+const goldenFile = "testdata/tables.golden"
+
+// paperTables lists the golden-pinned tables in rendering order.
+var paperTables = []struct {
+	name   string
+	render func(*Suite, context.Context) (*TextTable, error)
+}{
+	{"Table 1", (*Suite).Table1},
+	{"Table 2", (*Suite).Table2},
+	{"Table 3", (*Suite).Table3},
+	{"Table 4", (*Suite).Table4},
+	{"Table 5", (*Suite).Table5},
+	{"Table 6", (*Suite).Table6},
+	{"Table 7", (*Suite).Table7},
+	{"Table 8", (*Suite).Table8},
+	{"Table 9", (*Suite).Table9},
+	{"Table 10", (*Suite).Table10},
+	{"Table 11", (*Suite).Table11},
+	{"Table 12", (*Suite).Table12},
+	{"Table 13", (*Suite).Table13},
+	{"MatcherWeights", (*Suite).MatcherWeights},
+	{"AblationAggregation", (*Suite).AblationAggregation},
+}
+
+// renderedTables memoizes each rendered table once per test binary: the
+// golden test and the shape tests read the same result.
+var renderedTables par.ErrGroup[string, *TextTable]
+
+// paperTable returns the named table of the shared test suite.
+func paperTable(t *testing.T, name string) *TextTable {
+	t.Helper()
+	for _, pt := range paperTables {
+		if pt.name != name {
+			continue
+		}
+		tbl, err := renderedTables.Get(name, func() (*TextTable, error) {
+			return pt.render(testSuite(), context.Background())
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return tbl
+	}
+	t.Fatalf("unknown table %q", name)
+	return nil
+}
+
+// num parses a numeric table cell.
+func num(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+	if err != nil {
+		t.Fatalf("cell %q: %v", cell, err)
+	}
+	return v
+}
+
+// TestPaperTablesGolden pins every regenerated paper table byte for byte.
+// An intended change to a table regenerates the golden with
+//
+//	go test ./internal/report -run TestPaperTablesGolden -update
+//
+// and the diff is reviewed like any other.
+func TestPaperTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains pipeline models; skipped in -short")
+	}
+	var b strings.Builder
+	for _, pt := range paperTables {
+		fmt.Fprintf(&b, "# %s\n%s\n", pt.name, paperTable(t, pt.name))
+	}
+	got := b.String()
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", goldenFile)
+		return
+	}
+	want, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("paper tables differ from %s; if the change is intended, regenerate with\n  go test ./internal/report -run TestPaperTablesGolden -update\n\n%s",
+			goldenFile, lineDiff(string(want), got))
+	}
+}
+
+// lineDiff lists the lines that differ between two renderings.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n  - %s\n  + %s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
+}
 
 // kbEvalClass0 returns the first evaluation class.
 func kbEvalClass0() kb.ClassID { return kb.EvalClasses()[0] }
@@ -77,10 +198,7 @@ func TestSuiteConcurrentAccess(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	tbl, err := testSuite().Table1(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := paperTable(t, "Table 1")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -90,33 +208,19 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2DensityShape(t *testing.T) {
-	s := testSuite()
-	tbl, err := s.Table2(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 11+7+5 {
+	if tbl := paperTable(t, "Table 2"); len(tbl.Rows) != 11+7+5 {
 		t.Fatalf("rows = %d, want full schemas", len(tbl.Rows))
 	}
 }
 
 func TestTable3(t *testing.T) {
-	tbl, err := testSuite().Table3(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
+	if tbl := paperTable(t, "Table 3"); len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 }
 
 func TestTable5(t *testing.T) {
-	s := testSuite()
-	tbl, err := s.Table5(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
+	if tbl := paperTable(t, "Table 5"); len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 }
@@ -125,11 +229,7 @@ func TestTable6IterationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	rows, err := s.Table6Data(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperTable(t, "Table 6").Rows
 	if len(rows) != 3 {
 		t.Fatalf("iterations = %d", len(rows))
 	}
@@ -138,11 +238,11 @@ func TestTable6IterationShape(t *testing.T) {
 	// that only duplicate-based evidence can match), and a third
 	// iteration adds little. A small tolerance absorbs the noise of the
 	// scaled-down gold standard.
-	if rows[1].F1 < rows[0].F1-0.05 {
-		t.Errorf("second iteration F1 %.3f should not drop below first %.3f",
-			rows[1].F1, rows[0].F1)
+	f1 := func(i int) float64 { return num(t, rows[i][3]) }
+	if f1(1) < f1(0)-0.05 {
+		t.Errorf("second iteration F1 %.3f should not drop below first %.3f", f1(1), f1(0))
 	}
-	if diff := rows[2].F1 - rows[1].F1; diff > 0.15 {
+	if diff := f1(2) - f1(1); diff > 0.15 {
 		t.Errorf("third iteration gain %.3f too large — should be marginal", diff)
 	}
 }
@@ -151,31 +251,29 @@ func TestTable7AblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	rows, err := s.Table7Data(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperTable(t, "Table 7").Rows
 	if len(rows) != 6 {
 		t.Fatalf("ablation rows = %d", len(rows))
 	}
+	f1 := func(i int) float64 { return num(t, rows[i][3]) }
 	// All-metrics F1 should not be materially worse than LABEL-only.
-	if rows[5].F1 < rows[0].F1-0.08 {
-		t.Errorf("all metrics F1 %.3f well below LABEL-only %.3f", rows[5].F1, rows[0].F1)
+	if f1(5) < f1(0)-0.08 {
+		t.Errorf("all metrics F1 %.3f well below LABEL-only %.3f", f1(5), f1(0))
 	}
 	// Label is the paper's single most important metric.
 	var miSum float64
 	for _, r := range rows {
-		if r.MI < 0 {
-			t.Errorf("negative importance: %+v", r)
+		mi := num(t, r[4])
+		if mi < 0 {
+			t.Errorf("negative importance: %v", r)
 		}
-		miSum += r.MI
+		miSum += mi
 	}
 	if miSum <= 0 {
 		t.Error("importances all zero")
 	}
-	if rows[0].F1 < 0.4 {
-		t.Errorf("LABEL-only clustering F1 = %.3f, unreasonably low", rows[0].F1)
+	if f1(0) < 0.4 {
+		t.Errorf("LABEL-only clustering F1 = %.3f, unreasonably low", f1(0))
 	}
 }
 
@@ -183,19 +281,16 @@ func TestTable8AblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	rows, err := s.Table8Data(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperTable(t, "Table 8").Rows
 	if len(rows) != 6 {
 		t.Fatalf("ablation rows = %d", len(rows))
 	}
-	if rows[5].ACC < rows[0].ACC-0.08 {
-		t.Errorf("all metrics ACC %.3f well below LABEL-only %.3f", rows[5].ACC, rows[0].ACC)
+	acc := func(i int) float64 { return num(t, rows[i][1]) }
+	if acc(5) < acc(0)-0.08 {
+		t.Errorf("all metrics ACC %.3f well below LABEL-only %.3f", acc(5), acc(0))
 	}
-	if rows[0].ACC < 0.4 {
-		t.Errorf("LABEL-only accuracy = %.3f, unreasonably low", rows[0].ACC)
+	if acc(0) < 0.4 {
+		t.Errorf("LABEL-only accuracy = %.3f, unreasonably low", acc(0))
 	}
 }
 
@@ -203,20 +298,16 @@ func TestTable9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	rows, err := s.Table9Data(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperTable(t, "Table 9").Rows
 	if len(rows) != 7 { // 3 classes × 2 conditions + average
 		t.Fatalf("rows = %d", len(rows))
 	}
 	last := rows[len(rows)-1]
-	if last.Class != "Average" {
+	if last[0] != "Average" {
 		t.Fatal("missing average row")
 	}
-	if last.F1 < 0.3 {
-		t.Errorf("average F1 = %.3f, want meaningful performance", last.F1)
+	if f1 := num(t, last[5]); f1 < 0.3 {
+		t.Errorf("average F1 = %.3f, want meaningful performance", f1)
 	}
 }
 
@@ -224,18 +315,14 @@ func TestTable10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	rows, err := s.Table10Data(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperTable(t, "Table 10").Rows
 	if len(rows) != 10 { // 3 classes × 3 conditions + average
 		t.Fatalf("rows = %d", len(rows))
 	}
 	last := rows[len(rows)-1]
+	voting, kbt, matching := num(t, last[3]), num(t, last[4]), num(t, last[5])
 	// The paper's lesson: scoring method choice barely matters.
-	spread := maxF(last.F1Voting, last.F1KBT, last.F1Matching) -
-		minF(last.F1Voting, last.F1KBT, last.F1Matching)
+	spread := maxF(voting, kbt, matching) - minF(voting, kbt, matching)
 	if spread > 0.15 {
 		t.Errorf("scoring methods diverge too much: %.3f", spread)
 	}
@@ -245,41 +332,45 @@ func TestTable11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	rows, err := s.Table11Data(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperTable(t, "Table 11").Rows
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byClass := map[string]Table11Row{}
-	for _, r := range rows {
-		byClass[r.Class] = r
-		if r.TotalRows == 0 {
-			t.Errorf("%s: no rows processed", r.Class)
+	newEntities := map[string]int{}
+	increase := map[string]float64{}
+	for i, r := range rows {
+		if num(t, r[1]) == 0 {
+			t.Errorf("%s: no rows processed", r[0])
+		}
+		var n int
+		var inc float64
+		if _, err := fmt.Sscanf(r[5], "%d (+%f%%)", &n, &inc); err != nil {
+			t.Fatalf("%s: new entities cell %q: %v", r[0], r[5], err)
+		}
+		newEntities[r[0]] = n
+		// The rendered increase is rounded to whole percent; recompute it
+		// exactly from the class's KB size.
+		prof := testSuite().World.KB.ProfileClass(kb.EvalClasses()[i])
+		increase[r[0]] = float64(n) / float64(prof.Instances)
+		// Fact accuracy stays high (paper: ~0.9 average) wherever new
+		// entities were returned.
+		if acc := num(t, r[8]); n > 0 && acc < 0.5 {
+			t.Errorf("%s: fact accuracy = %.3f, too low", r[0], acc)
 		}
 	}
 	// Song and GF-Player yield new entities; Settlement may yield none at
 	// this scale — the paper's own finding is a near-zero increase there.
-	if byClass["Song"].NewEntities == 0 {
+	if newEntities["Song"] == 0 {
 		t.Error("Song: no new entities found")
 	}
-	if byClass["GF-Player"].NewEntities == 0 {
+	if newEntities["GF-Player"] == 0 {
 		t.Error("GF-Player: no new entities found")
 	}
 	// Song must yield the largest relative increase, Settlement the
 	// smallest (the paper's headline contrast).
-	if byClass["Song"].IncEntities <= byClass["Settlement"].IncEntities {
+	if increase["Song"] <= increase["Settlement"] {
 		t.Errorf("Song increase (%.2f) should exceed Settlement (%.2f)",
-			byClass["Song"].IncEntities, byClass["Settlement"].IncEntities)
-	}
-	// Fact accuracy stays high (paper: ~0.9 average) wherever new
-	// entities were returned.
-	for _, r := range rows {
-		if r.NewEntities > 0 && r.FactAccuracy < 0.5 {
-			t.Errorf("%s: fact accuracy = %.3f, too low", r.Class, r.FactAccuracy)
-		}
+			increase["Song"], increase["Settlement"])
 	}
 }
 
@@ -287,12 +378,7 @@ func TestTable12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	tbl, err := s.Table12(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 11+7+5 {
+	if tbl := paperTable(t, "Table 12"); len(tbl.Rows) != 11+7+5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 }
@@ -301,15 +387,12 @@ func TestRankedData(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	rs, err := s.RankedData(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	row := paperTable(t, "Table 13").Rows[0]
+	mapScore, p5 := num(t, row[0]), num(t, row[1])
+	if mapScore < 0 || mapScore > 1 || p5 < 0 || p5 > 1 {
+		t.Errorf("ranked scores out of range: %v", row)
 	}
-	if rs.MAP < 0 || rs.MAP > 1 || rs.P5 < 0 || rs.P5 > 1 {
-		t.Errorf("ranked scores out of range: %+v", rs)
-	}
-	if rs.MAP == 0 {
+	if mapScore == 0 {
 		t.Error("MAP = 0: ranking produced nothing")
 	}
 }
@@ -348,12 +431,7 @@ func TestTable4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	tbl, err := s.Table4(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
+	if tbl := paperTable(t, "Table 4"); len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 }
@@ -362,11 +440,7 @@ func TestMatcherWeights(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pipeline models; skipped in -short")
 	}
-	s := testSuite()
-	tbl, err := s.MatcherWeights(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := paperTable(t, "MatcherWeights")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -380,11 +454,7 @@ func TestAblationAggregation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("aggregation ablation is expensive")
 	}
-	s := testSuite()
-	tbl, err := s.AblationAggregation(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := paperTable(t, "AblationAggregation")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -404,12 +474,7 @@ func TestPct(t *testing.T) {
 }
 
 func TestTable13Rendering(t *testing.T) {
-	s := testSuite()
-	tbl, err := s.Table13(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 1 {
+	if tbl := paperTable(t, "Table 13"); len(tbl.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 }
