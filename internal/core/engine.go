@@ -570,17 +570,7 @@ func (e *Engine) passInputs(mc *match.Context, prev *Output) (*match.Model, []ma
 	if prev != nil {
 		model = e.Models.AttrSecond
 		matchers = match.AllMatchers()
-		prelim := make(map[match.ColRef]kb.PropertyID)
-		for tid, m := range prev.Mapping {
-			for col, pid := range m {
-				prelim[match.ColRef{Table: tid, Col: col}] = pid
-			}
-		}
-		rowCluster := make(map[webtable.RowRef]int, len(prev.Clustering.Assign))
-		for ref, c := range prev.Clustering.Assign {
-			rowCluster[ref] = c
-		}
-		mctx = mc.WithIterationOutput(prev.RowInstance, rowCluster, prelim)
+		mctx = mc.WithIteration(prev.Mapping, prev.Clustering.Assign, prev.RowInstance)
 	}
 	if model == nil {
 		model = match.DefaultModel(e.Cfg.Class, matchers)

@@ -73,6 +73,14 @@ func Train(ctx context.Context, cfg Config, g *gold.Standard, trainClusters []in
 		return Models{}, err
 	}
 
+	// The first model's mapping of the training tables (the second
+	// model's preliminary mapping) and the rows built under it (the
+	// clustering and detection training input).
+	rows, mapping, err := FirstIterationRows(ctx, cfg, mc, models.AttrFirst, trainTables)
+	if err != nil {
+		return Models{}, err
+	}
+
 	// Iteration outputs for the second-iteration model come from the gold
 	// annotations (standing in for a first pipeline run on the learning
 	// set): gold correspondences as RowInstance, gold clusters as
@@ -90,42 +98,15 @@ func Train(ctx context.Context, cfg Config, g *gold.Standard, trainClusters []in
 			rowInstance[ref] = c.Instance
 		}
 	}
-	prelim := make(map[match.ColRef]kb.PropertyID)
-	mapping := make(map[int]map[int]kb.PropertyID)
-	firstMatchers := match.FirstIterationMatchers()
-	// First-iteration mapping per training table, fanned out over the pool
-	// (trainTables is sorted and duplicate-free, so each worker owns its
-	// table) and reduced serially in table order.
-	perTable, err := par.MapCtx(ctx, cfg.Workers, trainTables, func(_, tid int) map[int]kb.PropertyID {
-		t := cfg.Corpus.Table(tid)
-		match.EnsureDetected(t)
-		return match.MatchAttributes(mc, models.AttrFirst, firstMatchers, t)
-	})
-	if err != nil {
-		return Models{}, err
-	}
-	for i, tid := range trainTables {
-		m := perTable[i]
-		mapping[tid] = m
-		for col, pid := range m {
-			prelim[match.ColRef{Table: tid, Col: col}] = pid
-		}
-	}
 	cfg.emit(Event{Stage: StageTrain, Detail: "attr-second", Count: len(attrs)})
-	mc2 := mc.WithIterationOutput(rowInstance, rowCluster, prelim)
+	mc2 := mc.WithIteration(mapping, rowCluster, rowInstance)
 	models.AttrSecond = match.Learn(mc2, match.AllMatchers(), cfg.Class, attrs, cfg.Seed)
 	if err := ctx.Err(); err != nil {
 		return Models{}, err
 	}
 
-	// Row clustering: build rows for the training tables with the
-	// first-iteration mapping and learn the combined aggregator from gold
-	// pair labels.
-	builder := &cluster.Builder{
-		KB: cfg.KB, Corpus: cfg.Corpus, Class: cfg.Class, Mapping: mapping,
-	}
-	rows := builder.Build(trainTables)
-	pairs := labeledPairs(g, trainSet, rows, 4000)
+	// Row clustering: learn the combined aggregator from gold pair labels.
+	pairs := LabeledPairs(g, trainSet, rows, 4000)
 	cfg.emit(Event{Stage: StageTrain, Detail: "cluster-scorer", Count: len(pairs)})
 	models.ClusterScorer, models.ClusterModel = cluster.LearnScorer(cluster.MetricSet(), pairs, cfg.Seed)
 	if err := ctx.Err(); err != nil {
@@ -134,10 +115,17 @@ func Train(ctx context.Context, cfg Config, g *gold.Standard, trainClusters []in
 
 	// New detection: entities created from the gold training clusters,
 	// labeled with the gold new/existing annotations.
-	examples, err := detectionExamples(ctx, cfg, g, trainSet, rows, mapping)
+	var train []int
+	for ci := range g.Clusters {
+		if trainSet[ci] {
+			train = append(train, ci)
+		}
+	}
+	entities, err := GoldEntities(ctx, cfg, mapping, g, train, rows)
 	if err != nil {
 		return Models{}, err
 	}
+	examples, _ := DetectionExamples(g, train, entities)
 	cfg.emit(Event{Stage: StageTrain, Detail: "detector", Count: len(examples)})
 	detAgg, _ := newdet.LearnAggregator(cfg.KB, newdet.MetricSet(), examples, cfg.Seed)
 	models.DetectorModel = detAgg
@@ -145,11 +133,34 @@ func Train(ctx context.Context, cfg Config, g *gold.Standard, trainClusters []in
 	return models, nil
 }
 
-// labeledPairs generates labeled row pairs from the gold clustering:
-// positives are intra-cluster pairs; negatives are block-sharing pairs from
-// different clusters plus a spread of random cross-cluster pairs. maxPairs
-// bounds the output.
-func labeledPairs(g *gold.Standard, trainSet map[int]bool, rows []*cluster.Row, maxPairs int) []cluster.PairExample {
+// FirstIterationRows maps each table's attributes with the first-iteration
+// model and builds the tables' rows under that mapping. Matching fans out
+// over cfg.Workers (tables must be duplicate-free, so each worker owns its
+// table) and is reduced in table order.
+func FirstIterationRows(ctx context.Context, cfg Config, mc *match.Context, model *match.Model, tables []int) ([]*cluster.Row, map[int]map[int]kb.PropertyID, error) {
+	matchers := match.FirstIterationMatchers()
+	perTable, err := par.MapCtx(ctx, cfg.Workers, tables, func(_, tid int) map[int]kb.PropertyID {
+		t := cfg.Corpus.Table(tid)
+		match.EnsureDetected(t)
+		return match.MatchAttributes(mc, model, matchers, t)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	mapping := make(map[int]map[int]kb.PropertyID, len(tables))
+	for i, tid := range tables {
+		mapping[tid] = perTable[i]
+	}
+	builder := &cluster.Builder{KB: cfg.KB, Corpus: cfg.Corpus, Class: cfg.Class, Mapping: mapping}
+	return builder.Build(tables), mapping, nil
+}
+
+// LabeledPairs generates labeled row pairs from the rows of the gold
+// clusters in trainSet (§3.2): positives are intra-cluster pairs; negatives
+// are block-sharing pairs from different clusters plus a spread of
+// adjacent cross-cluster pairs. Clusters and blocks are visited in sorted
+// order, since pair order feeds the learners. maxPairs bounds the output.
+func LabeledPairs(g *gold.Standard, trainSet map[int]bool, rows []*cluster.Row, maxPairs int) []cluster.PairExample {
 	annotated := rows[:0:0]
 	for _, r := range rows {
 		if ci, ok := g.RowCluster[r.Ref]; ok && trainSet[ci] {
@@ -224,46 +235,65 @@ func labeledPairs(g *gold.Standard, trainSet map[int]bool, rows []*cluster.Row, 
 	return pairs
 }
 
-// detectionExamples creates entities from the gold training clusters and
-// labels them with the gold annotations.
-func detectionExamples(ctx context.Context, cfg Config, g *gold.Standard, trainSet map[int]bool, rows []*cluster.Row, mapping map[int]map[int]kb.PropertyID) ([]newdet.Example, error) {
-	rowByRef := make(map[webtable.RowRef]*cluster.Row, len(rows))
+// GoldRows selects, for each gold cluster in idx, the cluster's rows among
+// the built rows, in the cluster's row order. An entry is empty when none
+// of the cluster's rows was built.
+func GoldRows(g *gold.Standard, idx []int, rows []*cluster.Row) [][]*cluster.Row {
+	byRef := make(map[webtable.RowRef]*cluster.Row, len(rows))
 	for _, r := range rows {
-		rowByRef[r.Ref] = r
+		byRef[r.Ref] = r
 	}
+	out := make([][]*cluster.Row, len(idx))
+	for i, ci := range idx {
+		for _, ref := range g.Clusters[ci].Rows {
+			if r, ok := byRef[ref]; ok {
+				out[i] = append(out[i], r)
+			}
+		}
+	}
+	return out
+}
+
+// GoldEntities fuses one entity per gold cluster in idx from its built
+// rows (see GoldRows) under the given mapping — the §3.4 setting: "before
+// we run new detection on those clusters, we create entities from them".
+// The result is indexed by cluster and nil for clusters outside idx or
+// without a built row. VOTING scoring keeps the sources read-only, so
+// creation fans out over cfg.Workers.
+func GoldEntities(ctx context.Context, cfg Config, mapping map[int]map[int]kb.PropertyID, g *gold.Standard, idx []int, rows []*cluster.Row) ([]*fusion.Entity, error) {
 	src := &fusion.Sources{
 		KB: cfg.KB, Corpus: cfg.Corpus, Class: cfg.Class,
 		Mapping:    mapping,
 		Thresholds: dtype.DefaultThresholds(),
 		Scoring:    fusion.Voting,
 	}
-	// Entity creation per training cluster runs on the pool (VOTING scoring
-	// keeps the sources read-only); the nil-filtering reduction keeps the
-	// examples in cluster order.
-	created, err := par.MapCtx(ctx, cfg.Workers, g.Clusters, func(ci int, c *gold.Cluster) *newdet.Example {
-		if !trainSet[ci] {
-			return nil
-		}
-		var members []*cluster.Row
-		for _, ref := range c.Rows {
-			if r, ok := rowByRef[ref]; ok {
-				members = append(members, r)
-			}
-		}
+	created, err := par.MapCtx(ctx, cfg.Workers, GoldRows(g, idx, rows), func(_ int, members []*cluster.Row) *fusion.Entity {
 		if len(members) == 0 {
 			return nil
 		}
-		e := fusion.Create(src, members)
-		return &newdet.Example{Entity: e, IsNew: c.IsNew, Instance: c.Instance}
+		return fusion.Create(src, members)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []newdet.Example
-	for _, ex := range created {
-		if ex != nil {
-			out = append(out, *ex)
-		}
+	out := make([]*fusion.Entity, len(g.Clusters))
+	for i, ci := range idx {
+		out[ci] = created[i]
 	}
 	return out, nil
+}
+
+// DetectionExamples labels the entities of the gold clusters in idx
+// (indexed by cluster, as GoldEntities returns them) with the clusters'
+// new/existing annotations, in idx order. Clusters without an entity are
+// skipped; kept lists the clusters that yielded an example.
+func DetectionExamples(g *gold.Standard, idx []int, entities []*fusion.Entity) (examples []newdet.Example, kept []int) {
+	for _, ci := range idx {
+		if e := entities[ci]; e != nil {
+			c := g.Clusters[ci]
+			examples = append(examples, newdet.Example{Entity: e, IsNew: c.IsNew, Instance: c.Instance})
+			kept = append(kept, ci)
+		}
+	}
+	return examples, kept
 }

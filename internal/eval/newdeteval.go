@@ -208,12 +208,6 @@ func precisionAt(list []rankedEntry, k int) float64 {
 	return float64(hits) / float64(k)
 }
 
-// InstanceCorrect reports whether an entity mapped to gold cluster gi (via
-// MapClusters) was correctly detected as new.
-func InstanceCorrect(g *gold.Standard, gi int) bool {
-	return gi >= 0 && g.Clusters[gi].IsNew
-}
-
 func f1(tp, fp, fn int) float64 {
 	if tp == 0 {
 		return 0

@@ -3,7 +3,6 @@ package match
 import (
 	"sort"
 
-	"repro/internal/dtype"
 	"repro/internal/kb"
 	"repro/internal/ml"
 	"repro/internal/webtable"
@@ -287,25 +286,6 @@ func matchOne(ctx *Context, m *Model, matchers []Matcher, t *webtable.Table, col
 		return ""
 	}
 	return bestProp
-}
-
-// ExtractRowValues parses, for one row, the typed values of all matched
-// columns according to the knowledge base schema ("these values are
-// required to create descriptions for new instances"). After matching, the
-// data type of the attribute is the data type of the matched property and
-// values are normalized accordingly.
-func ExtractRowValues(ctx *Context, t *webtable.Table, row int, mapping map[int]kb.PropertyID) map[kb.PropertyID]dtype.Value {
-	out := make(map[kb.PropertyID]dtype.Value)
-	for col, pid := range mapping {
-		prop, ok := ctx.KB.Property(ctx.Class, pid)
-		if !ok {
-			continue
-		}
-		if v, ok := dtype.Parse(t.Cell(row, col), prop.Kind); ok {
-			out[pid] = v
-		}
-	}
-	return out
 }
 
 func precision(tp, fp int) float64 {

@@ -84,14 +84,26 @@ func NewContext(k *kb.KB, corpus *webtable.Corpus) *Context {
 	}
 }
 
-// WithIterationOutput returns a copy of the context enriched with the
-// outputs of a previous pipeline iteration, enabling the duplicate-based
-// and corpus-based matchers.
-func (c *Context) WithIterationOutput(
+// WithIteration returns a copy of the context enriched with the outputs of
+// a previous pipeline iteration, enabling the duplicate-based and
+// corpus-based matchers: its attribute mapping (table → column → property)
+// becomes Prelim, a copy of its row-to-cluster assignment RowCluster, and
+// rowInstance RowInstance.
+func (c *Context) WithIteration(
+	mapping map[int]map[int]kb.PropertyID,
+	assign map[webtable.RowRef]int,
 	rowInstance map[webtable.RowRef]kb.InstanceID,
-	rowCluster map[webtable.RowRef]int,
-	prelim map[ColRef]kb.PropertyID,
 ) *Context {
+	prelim := make(map[ColRef]kb.PropertyID)
+	for tid, m := range mapping {
+		for col, pid := range m {
+			prelim[ColRef{Table: tid, Col: col}] = pid
+		}
+	}
+	rowCluster := make(map[webtable.RowRef]int, len(assign))
+	for ref, ci := range assign {
+		rowCluster[ref] = ci
+	}
 	out := *c
 	out.RowInstance = rowInstance
 	out.RowCluster = rowCluster

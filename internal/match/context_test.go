@@ -43,9 +43,9 @@ func TestProfileCacheInvalidatesOnKBGrowth(t *testing.T) {
 		t.Errorf("rebuilt profile covers %d facts, want 2", p2.n)
 	}
 
-	// A context derived via WithIterationOutput inherits the version stamp
+	// A context derived via WithIteration inherits the version stamp
 	// and keeps serving the (still valid) rebuilt profiles.
-	derived := ctx.WithIterationOutput(nil, nil, nil)
+	derived := ctx.WithIteration(nil, nil, nil)
 	if p3 := derived.profile(kb.ClassGFPlayer, "dbo:position"); p3 != p2 {
 		t.Error("derived context dropped still-valid profiles")
 	}

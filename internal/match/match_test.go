@@ -206,7 +206,7 @@ func TestKBDuplicateMatcher(t *testing.T) {
 		rowInstance[webtable.RowRef{Table: 999, Row: i}] = e.KBID
 	}
 	DetectColumnKinds(tb)
-	ctx := NewContext(w.KB, corpus).WithIterationOutput(rowInstance, nil, nil)
+	ctx := NewContext(w.KB, corpus).WithIteration(nil, nil, rowInstance)
 	ctx.Class = kb.ClassGFPlayer
 	prop, _ := w.KB.Property(kb.ClassGFPlayer, "dbo:position")
 	s := (kbDuplicate{}).Score(ctx, tb, 1, prop)
@@ -225,7 +225,7 @@ func TestWTLabelMatcher(t *testing.T) {
 	w, corpus := testWorld()
 	// Preliminary mapping from provenance; then query with a header that
 	// actually occurs for dbo:position columns in this corpus sample.
-	prelim := make(map[ColRef]kb.PropertyID)
+	mapping := make(map[int]map[int]kb.PropertyID)
 	queryHeader := ""
 	for _, tbl := range corpus.Tables {
 		if tbl.Truth == nil || tbl.Truth.Class != kb.ClassGFPlayer {
@@ -233,17 +233,20 @@ func TestWTLabelMatcher(t *testing.T) {
 		}
 		for c, pid := range tbl.Truth.ColProperty {
 			if pid != "" {
-				prelim[ColRef{Table: tbl.ID, Col: c}] = pid
+				if mapping[tbl.ID] == nil {
+					mapping[tbl.ID] = make(map[int]kb.PropertyID)
+				}
+				mapping[tbl.ID][c] = pid
 				if pid == "dbo:position" && queryHeader == "" {
 					queryHeader = tbl.Headers[c]
 				}
 			}
 		}
 	}
-	if len(prelim) == 0 || queryHeader == "" {
+	if len(mapping) == 0 || queryHeader == "" {
 		t.Skip("corpus sample has no mapped position column")
 	}
-	ctx := NewContext(w.KB, corpus).WithIterationOutput(nil, nil, prelim)
+	ctx := NewContext(w.KB, corpus).WithIteration(mapping, nil, nil)
 	ctx.Class = kb.ClassGFPlayer
 	tb := &webtable.Table{
 		ID:       12345,
@@ -338,29 +341,6 @@ func TestMatchAttributesEndToEnd(t *testing.T) {
 	}
 	if _, ok := mapping[0]; ok {
 		t.Error("label column must not be mapped")
-	}
-}
-
-func TestExtractRowValues(t *testing.T) {
-	w, corpus := testWorld()
-	ctx := NewContext(w.KB, corpus)
-	ctx.Class = kb.ClassGFPlayer
-	tb := playerTable()
-	DetectColumnKinds(tb)
-	mapping := map[int]kb.PropertyID{1: "dbo:position", 2: "dbo:weight", 3: "dbo:birthDate"}
-	vals := ExtractRowValues(ctx, tb, 0, mapping)
-	if vals["dbo:position"].Str != "qb" {
-		t.Errorf("position = %+v", vals["dbo:position"])
-	}
-	if vals["dbo:weight"].Num != 225 {
-		t.Errorf("weight = %+v", vals["dbo:weight"])
-	}
-	if vals["dbo:birthDate"].Year != 1977 {
-		t.Errorf("birthDate = %+v", vals["dbo:birthDate"])
-	}
-	// The value kind is normalized to the property kind.
-	if vals["dbo:position"].Kind != dtype.NominalString {
-		t.Errorf("position kind = %v, want NominalString", vals["dbo:position"].Kind)
 	}
 }
 

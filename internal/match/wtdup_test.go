@@ -35,10 +35,8 @@ func TestWTDuplicateMatcher(t *testing.T) {
 		{Table: 0, Row: 0}: 1, {Table: 1, Row: 0}: 1,
 		{Table: 0, Row: 1}: 2, {Table: 1, Row: 1}: 2,
 	}
-	prelim := map[ColRef]kb.PropertyID{
-		{Table: 0, Col: 1}: "dbo:position",
-	}
-	ctx := NewContext(w.KB, corpus).WithIterationOutput(nil, rowCluster, prelim)
+	mapping := map[int]map[int]kb.PropertyID{0: {1: "dbo:position"}}
+	ctx := NewContext(w.KB, corpus).WithIteration(mapping, rowCluster, nil)
 	ctx.Class = kb.ClassGFPlayer
 	prop, _ := w.KB.Property(kb.ClassGFPlayer, "dbo:position")
 
@@ -61,7 +59,7 @@ func TestWTDuplicateMatcher(t *testing.T) {
 	corpus2 := webtable.NewCorpus(append(tables, conflict))
 	DetectColumnKinds(conflict)
 	rowCluster[webtable.RowRef{Table: 2, Row: 0}] = 1
-	ctx2 := NewContext(w.KB, corpus2).WithIterationOutput(nil, rowCluster, prelim)
+	ctx2 := NewContext(w.KB, corpus2).WithIteration(mapping, rowCluster, nil)
 	ctx2.Class = kb.ClassGFPlayer
 	if s := (wtDuplicate{}).Score(ctx2, conflict, 1, prop); s != 0 {
 		t.Errorf("WT-Duplicate with conflicting value = %v, want 0", s)

@@ -133,58 +133,15 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int
 	return out, err
 }
 
-// Cell is a lazily computed, memoized value: the first Get computes it
-// exactly once and concurrent Gets block until that computation finishes
-// and then share its result (singleflight semantics).
+// ErrCell is a lazily computed, memoized value for fallible (typically
+// context-aware) computations: a successful result is memoized and shared
+// by every caller, while a failed computation is returned only to the
+// caller that ran it and is NOT memoized, so the next caller retries with
+// its own compute closure. A first caller whose context is cancelled
+// mid-computation therefore cannot poison the cell for everyone else.
 //
-// The zero value is ready to use.
-type Cell[T any] struct {
-	once sync.Once
-	val  T
-}
-
-// Get returns the memoized value, computing it with compute on first use.
-func (c *Cell[T]) Get(compute func() T) T {
-	c.once.Do(func() { c.val = compute() })
-	return c.val
-}
-
-// Group memoizes one Cell per key: each key's value is computed exactly
-// once, while distinct keys compute concurrently. The group mutex guards
-// only the cell map, never a computation, so a slow key does not block the
-// others.
-//
-// The zero value is ready to use.
-type Group[K comparable, V any] struct {
-	mu    sync.Mutex
-	cells map[K]*Cell[V]
-}
-
-// Get returns the memoized value for key, computing it with compute on the
-// key's first use.
-func (g *Group[K, V]) Get(key K, compute func() V) V {
-	g.mu.Lock()
-	if g.cells == nil {
-		g.cells = make(map[K]*Cell[V])
-	}
-	c := g.cells[key]
-	if c == nil {
-		c = &Cell[V]{}
-		g.cells[key] = c
-	}
-	g.mu.Unlock()
-	return c.Get(compute)
-}
-
-// ErrCell is a Cell for fallible (typically context-aware) computations: a
-// successful result is memoized and shared by every caller, while a failed
-// computation is returned only to the caller that ran it and is NOT
-// memoized, so the next caller retries with its own compute closure. A
-// first caller whose context is cancelled mid-computation therefore cannot
-// poison the cell for everyone else.
-//
-// Like Cell, concurrent Gets for the same cell serialize (singleflight);
-// compute must not re-enter the same cell. The zero value is ready to use.
+// Concurrent Gets for the same cell serialize (singleflight); compute must
+// not re-enter the same cell. The zero value is ready to use.
 type ErrCell[T any] struct {
 	mu   sync.Mutex
 	done bool

@@ -64,49 +64,6 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestCellComputesOnce(t *testing.T) {
-	var c Cell[int]
-	var calls atomic.Int32
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			if v := c.Get(func() int { calls.Add(1); return 42 }); v != 42 {
-				t.Error("wrong value")
-			}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-	if calls.Load() != 1 {
-		t.Errorf("compute ran %d times", calls.Load())
-	}
-}
-
-func TestGroupPerKeyMemoization(t *testing.T) {
-	var g Group[string, int]
-	var calls atomic.Int32
-	done := make(chan struct{})
-	keys := []string{"a", "b", "a", "b", "a", "b"}
-	for _, k := range keys {
-		k := k
-		go func() {
-			defer func() { done <- struct{}{} }()
-			g.Get(k, func() int {
-				calls.Add(1)
-				return len(k)
-			})
-		}()
-	}
-	for range keys {
-		<-done
-	}
-	if calls.Load() != 2 {
-		t.Errorf("compute ran %d times, want once per key", calls.Load())
-	}
-}
-
 func TestForEachCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,8 +1,10 @@
 package report
 
 import (
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/eval"
+	"repro/internal/fusion"
+	"repro/internal/newdet"
 	"repro/internal/webtable"
 )
 
@@ -10,29 +12,20 @@ func rowRef(table, row int) webtable.RowRef {
 	return webtable.RowRef{Table: table, Row: row}
 }
 
-// producedClusters converts a pipeline output's clustering into row-ref
-// cluster lists.
-func producedClusters(out *core.Output) [][]webtable.RowRef {
-	res := make([][]webtable.RowRef, 0, len(out.Clustering.Clusters))
-	for _, members := range out.Clustering.Clusters {
-		refs := make([]webtable.RowRef, len(members))
-		for i, r := range members {
-			refs[i] = r.Ref
-		}
-		res = append(res, refs)
+// rowRefs returns the references of rows, in order.
+func rowRefs(rows []*cluster.Row) []webtable.RowRef {
+	refs := make([]webtable.RowRef, len(rows))
+	for i, r := range rows {
+		refs[i] = r.Ref
 	}
-	return res
+	return refs
 }
 
-// entityResults converts a pipeline output into eval.NewEntityResult pairs.
-func entityResults(out *core.Output) []eval.NewEntityResult {
-	res := make([]eval.NewEntityResult, len(out.Entities))
-	for i, e := range out.Entities {
-		refs := make([]webtable.RowRef, len(e.Rows))
-		for j, r := range e.Rows {
-			refs[j] = r.Ref
-		}
-		res[i] = eval.NewEntityResult{Rows: refs, Result: out.Detections[i]}
+// entityResults pairs each entity's rows with its detection result.
+func entityResults(entities []*fusion.Entity, detections []newdet.Result) []eval.NewEntityResult {
+	res := make([]eval.NewEntityResult, len(entities))
+	for i, e := range entities {
+		res[i] = eval.NewEntityResult{Rows: rowRefs(e.Rows), Result: detections[i]}
 	}
 	return res
 }

@@ -1,8 +1,8 @@
 // Package report regenerates every table of the paper's evaluation
 // (Tables 1-12 plus the §6 ranked evaluation) over the synthetic world.
 // The same harness backs the ltee CLI (cmd/ltee) and the repository-level
-// benchmarks (bench_test.go); EXPERIMENTS.md records paper-vs-measured for
-// each table.
+// benchmarks (bench_test.go); testdata/tables.golden pins every rendered
+// table at the test suite's scale (TestPaperTablesGolden).
 package report
 
 import (
@@ -41,7 +41,6 @@ type Suite struct {
 
 	prepared     par.ErrCell[struct{}]
 	models       par.ErrGroup[kb.ClassID, core.Models]  // trained on the full gold standard
-	foldsOf      par.Group[kb.ClassID, [][]int]         // 3-fold CV splits
 	byClass      par.ErrCell[map[kb.ClassID][]int]      // table-to-class matching result
 	fullRuns     par.ErrGroup[kb.ClassID, *core.Output] // full-corpus pipeline runs
 	goldRuns     par.ErrGroup[kb.ClassID, *core.Output] // gold-tables pipeline runs
@@ -142,19 +141,22 @@ func (s *Suite) ModelsFor(ctx context.Context, class kb.ClassID) (core.Models, e
 			return core.Models{}, err
 		}
 		g := s.Golds[class]
-		all := make([]int, len(g.Clusters))
-		for i := range all {
-			all[i] = i
-		}
-		return core.Train(ctx, s.Config(class), g, all)
+		return core.Train(ctx, s.Config(class), g, allClusters(g))
 	})
 }
 
-// Folds returns (and caches) the 3-fold split of a class's gold clusters.
+// allClusters lists every cluster index of a gold standard.
+func allClusters(g *gold.Standard) []int {
+	all := make([]int, len(g.Clusters))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// Folds returns the 3-fold split of a class's gold clusters.
 func (s *Suite) Folds(class kb.ClassID) [][]int {
-	return s.foldsOf.Get(class, func() [][]int {
-		return s.Golds[class].Folds(3, s.Seed)
-	})
+	return s.Golds[class].Folds(3, s.Seed)
 }
 
 // TablesByClass runs (and caches) table-to-class matching over the corpus.

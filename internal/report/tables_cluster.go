@@ -2,14 +2,13 @@ package report
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/gold"
 	"repro/internal/kb"
 	"repro/internal/match"
-	"repro/internal/par"
+	"repro/internal/ml"
 	"repro/internal/webtable"
 )
 
@@ -35,53 +34,14 @@ func (s *Suite) Table7Data(ctx context.Context) ([]Table7Row, error) {
 	var importances [][]float64
 
 	for _, class := range kb.EvalClasses() {
-		g := s.Golds[class]
-		folds := s.Folds(class)
-		rows, mapping, err := s.clusterRows(ctx, class)
+		folds, err := s.clusteringFolds(ctx, class)
 		if err != nil {
 			return nil, err
 		}
-		rowByRef := make(map[webtable.RowRef]*cluster.Row, len(rows))
-		for _, r := range rows {
-			rowByRef[r.Ref] = r
-		}
-		_ = mapping
-		for fold := range folds {
-			train, test := splitFolds(folds, fold)
-			trainSet := toSet(train)
-			pairs := trainingPairs(g, trainSet, rows)
-			// Test rows: rows of test-fold clusters.
-			var testRows []*cluster.Row
-			var goldRows [][]webtable.RowRef
-			for _, ci := range test {
-				c := g.Clusters[ci]
-				var present []webtable.RowRef
-				for _, ref := range c.Rows {
-					if r, ok := rowByRef[ref]; ok {
-						testRows = append(testRows, r)
-						present = append(present, ref)
-					}
-				}
-				if len(present) > 0 {
-					goldRows = append(goldRows, present)
-				}
-			}
-			if len(testRows) == 0 {
-				continue
-			}
+		for _, f := range folds {
 			for n := 1; n <= nMetrics; n++ {
-				metrics := cluster.MetricPrefix(n)
-				scorer, combined := cluster.LearnScorer(metrics, pairs, s.Seed)
-				cl := cluster.ClusterCtx(ctx, testRows, scorer, s.clusterOptions())
-				var produced [][]webtable.RowRef
-				for _, members := range cl.Clusters {
-					refs := make([]webtable.RowRef, len(members))
-					for i, r := range members {
-						refs[i] = r.Ref
-					}
-					produced = append(produced, refs)
-				}
-				cs := eval.EvaluateClustering(goldRows, produced)
+				scorer, combined := cluster.LearnScorer(cluster.MetricPrefix(n), f.pairs, s.Seed)
+				cs := s.evaluateClustering(ctx, f, scorer)
 				pcp[n-1] = append(pcp[n-1], cs.PCP)
 				ar[n-1] = append(ar[n-1], cs.AR)
 				f1[n-1] = append(f1[n-1], cs.F1)
@@ -130,8 +90,7 @@ func (s *Suite) ClusterRows(ctx context.Context, class kb.ClassID) ([]*cluster.R
 }
 
 // clusterRows builds (and caches per class) the prepared rows of a class's
-// gold tables using the first-iteration attribute mapping. The matching
-// fan-out runs on the suite's worker pool with an ordered reduction.
+// gold tables using the first-iteration attribute mapping.
 func (s *Suite) clusterRows(ctx context.Context, class kb.ClassID) ([]*cluster.Row, map[int]map[int]kb.PropertyID, error) {
 	cr, err := s.rowsOf.Get(class, func() (classRows, error) {
 		if err := s.prepare(ctx); err != nil {
@@ -144,115 +103,61 @@ func (s *Suite) clusterRows(ctx context.Context, class kb.ClassID) ([]*cluster.R
 		}
 		mctx := match.NewContext(s.World.KB, s.Corpus)
 		mctx.Class = class
-		firstMatchers := match.FirstIterationMatchers()
-		perTable, err := par.MapCtx(ctx, s.Workers, g.TableIDs, func(_ int, tid int) map[int]kb.PropertyID {
-			t := s.Corpus.Table(tid)
-			match.EnsureDetected(t)
-			return match.MatchAttributes(mctx, models.AttrFirst, firstMatchers, t)
-		})
-		if err != nil {
-			return classRows{}, err
-		}
-		mapping := make(map[int]map[int]kb.PropertyID, len(g.TableIDs))
-		for i, tid := range g.TableIDs {
-			mapping[tid] = perTable[i]
-		}
-		builder := &cluster.Builder{
-			KB: s.World.KB, Corpus: s.Corpus, Class: class, Mapping: mapping,
-		}
-		return classRows{rows: builder.Build(g.TableIDs), mapping: mapping}, nil
+		rows, mapping, err := core.FirstIterationRows(ctx, s.Config(class), mctx, models.AttrFirst, g.TableIDs)
+		return classRows{rows: rows, mapping: mapping}, err
 	})
 	return cr.rows, cr.mapping, err
 }
 
-// trainingPairs builds labeled row pairs from the training clusters.
-func trainingPairs(g *gold.Standard, trainSet map[int]bool, rows []*cluster.Row) []cluster.PairExample {
-	var annotated []*cluster.Row
-	for _, r := range rows {
-		if ci, ok := g.RowCluster[r.Ref]; ok && trainSet[ci] {
-			annotated = append(annotated, r)
-		}
-	}
-	var pairs []cluster.PairExample
-	byBlock := make(map[string][]*cluster.Row)
-	for _, r := range annotated {
-		for _, b := range r.Blocks {
-			byBlock[b] = append(byBlock[b], r)
-		}
-	}
-	seen := make(map[[2]webtable.RowRef]bool)
-	add := func(a, b *cluster.Row, m bool) {
-		ka, kp := a.Ref, b.Ref
-		if kp.Table < ka.Table || (kp.Table == ka.Table && kp.Row < ka.Row) {
-			ka, kp = kp, ka
-		}
-		key := [2]webtable.RowRef{ka, kp}
-		if ka == kp || seen[key] {
-			return
-		}
-		seen[key] = true
-		pairs = append(pairs, cluster.PairExample{A: a, B: b, Match: m})
-	}
-	// Visit clusters and blocks in sorted order: pair order feeds the
-	// learners, so map iteration order must not leak into the models.
-	byCluster := make(map[int][]*cluster.Row)
-	for _, r := range annotated {
-		ci := g.RowCluster[r.Ref]
-		byCluster[ci] = append(byCluster[ci], r)
-	}
-	cids := make([]int, 0, len(byCluster))
-	for ci := range byCluster {
-		cids = append(cids, ci)
-	}
-	sort.Ints(cids)
-	for _, ci := range cids {
-		members := byCluster[ci]
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				add(members[i], members[j], true)
-			}
-		}
-	}
-	blockNames := make([]string, 0, len(byBlock))
-	for b := range byBlock {
-		blockNames = append(blockNames, b)
-	}
-	sort.Strings(blockNames)
-	for _, b := range blockNames {
-		members := byBlock[b]
-		for i := 0; i < len(members) && len(pairs) < 3000; i++ {
-			for j := i + 1; j < len(members); j++ {
-				if g.RowCluster[members[i].Ref] != g.RowCluster[members[j].Ref] {
-					add(members[i], members[j], false)
-				}
-			}
-		}
-	}
-	for i := 0; i+1 < len(annotated) && len(pairs) < 3000; i += 2 {
-		if g.RowCluster[annotated[i].Ref] != g.RowCluster[annotated[i+1].Ref] {
-			add(annotated[i], annotated[i+1], false)
-		}
-	}
-	return pairs
+// clusteringFold is one cross-validation fold of a class's row clustering
+// study: labeled pairs from the training clusters, and the built rows of
+// the test clusters with their gold clustering.
+type clusteringFold struct {
+	pairs    []cluster.PairExample
+	testRows []*cluster.Row
+	goldRows [][]webtable.RowRef
 }
 
-func splitFolds(folds [][]int, test int) (train, testIdx []int) {
-	for f, idx := range folds {
-		if f == test {
-			testIdx = append(testIdx, idx...)
-		} else {
-			train = append(train, idx...)
+// clusteringFolds splits a class's gold clusters into the CV folds of the
+// clustering studies (Table 7 and AblationAggregation), dropping folds
+// whose test clusters have no built row.
+func (s *Suite) clusteringFolds(ctx context.Context, class kb.ClassID) ([]clusteringFold, error) {
+	g := s.Golds[class]
+	rows, _, err := s.clusterRows(ctx, class)
+	if err != nil {
+		return nil, err
+	}
+	folds := s.Folds(class)
+	var out []clusteringFold
+	for fold := range folds {
+		train, test := ml.TrainTest(folds, fold)
+		trainSet := make(map[int]bool, len(train))
+		for _, ci := range train {
+			trainSet[ci] = true
+		}
+		f := clusteringFold{pairs: core.LabeledPairs(g, trainSet, rows, 3000)}
+		for _, members := range core.GoldRows(g, test, rows) {
+			if len(members) > 0 {
+				f.testRows = append(f.testRows, members...)
+				f.goldRows = append(f.goldRows, rowRefs(members))
+			}
+		}
+		if len(f.testRows) > 0 {
+			out = append(out, f)
 		}
 	}
-	return train, testIdx
+	return out, nil
 }
 
-func toSet(idx []int) map[int]bool {
-	m := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		m[i] = true
+// evaluateClustering clusters a fold's test rows with scorer and scores the
+// result against the fold's gold clustering.
+func (s *Suite) evaluateClustering(ctx context.Context, f clusteringFold, scorer *cluster.Scorer) eval.ClusterScores {
+	cl := cluster.ClusterCtx(ctx, f.testRows, scorer, s.clusterOptions())
+	produced := make([][]webtable.RowRef, len(cl.Clusters))
+	for i, members := range cl.Clusters {
+		produced[i] = rowRefs(members)
 	}
-	return m
+	return eval.EvaluateClustering(f.goldRows, produced)
 }
 
 func averageVectors(vs [][]float64, n int) []float64 {
@@ -279,67 +184,30 @@ func (s *Suite) AblationAggregation(ctx context.Context) (*TextTable, error) {
 		Title:   "Ablation: clustering score aggregation strategies (F1)",
 		Headers: []string{"Aggregation", "F1"},
 	}
-	type variant struct {
-		name string
-		mode int // 0=WA, 1=RF, 2=combined
-	}
-	for _, v := range []variant{{"Weighted average", 0}, {"Random forest", 1}, {"Combined", 2}} {
-		var f1s []float64
-		for _, class := range kb.EvalClasses() {
-			g := s.Golds[class]
-			folds := s.Folds(class)
-			rows, _, err := s.clusterRows(ctx, class)
-			if err != nil {
-				return nil, err
+	// All three strategies come from one learned combined aggregator per
+	// fold: its weighted-average half, its random-forest half, and the
+	// combination itself.
+	names := []string{"Weighted average", "Random forest", "Combined"}
+	f1s := make([][]float64, len(names))
+	metrics := cluster.MetricSet()
+	for _, class := range kb.EvalClasses() {
+		folds, err := s.clusteringFolds(ctx, class)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range folds {
+			combinedScorer, combined := cluster.LearnScorer(metrics, f.pairs, s.Seed)
+			scorers := []*cluster.Scorer{{Metrics: metrics, Agg: combined.WA}, combinedScorer, combinedScorer}
+			if combined.RF != nil {
+				scorers[1] = &cluster.Scorer{Metrics: metrics, Agg: combined.RF}
 			}
-			rowByRef := make(map[webtable.RowRef]*cluster.Row, len(rows))
-			for _, r := range rows {
-				rowByRef[r.Ref] = r
-			}
-			for fold := range folds {
-				train, test := splitFolds(folds, fold)
-				pairs := trainingPairs(g, toSet(train), rows)
-				metrics := cluster.MetricSet()
-				scorer, combined := cluster.LearnScorer(metrics, pairs, s.Seed)
-				switch v.mode {
-				case 0:
-					scorer = &cluster.Scorer{Metrics: metrics, Agg: combined.WA}
-				case 1:
-					if combined.RF != nil {
-						scorer = &cluster.Scorer{Metrics: metrics, Agg: combined.RF}
-					}
-				}
-				var testRows []*cluster.Row
-				var goldRows [][]webtable.RowRef
-				for _, ci := range test {
-					c := g.Clusters[ci]
-					var present []webtable.RowRef
-					for _, ref := range c.Rows {
-						if r, ok := rowByRef[ref]; ok {
-							testRows = append(testRows, r)
-							present = append(present, ref)
-						}
-					}
-					if len(present) > 0 {
-						goldRows = append(goldRows, present)
-					}
-				}
-				if len(testRows) == 0 {
-					continue
-				}
-				cl := cluster.ClusterCtx(ctx, testRows, scorer, s.clusterOptions())
-				var produced [][]webtable.RowRef
-				for _, members := range cl.Clusters {
-					refs := make([]webtable.RowRef, len(members))
-					for i, r := range members {
-						refs[i] = r.Ref
-					}
-					produced = append(produced, refs)
-				}
-				f1s = append(f1s, eval.EvaluateClustering(goldRows, produced).F1)
+			for v, scorer := range scorers {
+				f1s[v] = append(f1s[v], s.evaluateClustering(ctx, f, scorer).F1)
 			}
 		}
-		t.Add(v.name, avg(f1s))
+	}
+	for v, name := range names {
+		t.Add(name, avg(f1s[v]))
 	}
 	return t, ctx.Err()
 }

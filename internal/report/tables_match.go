@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kb"
 	"repro/internal/match"
-	"repro/internal/webtable"
 )
 
 // Table6Row is one iteration's attribute-to-property matching performance.
@@ -48,7 +47,7 @@ func (s *Suite) Table6Data(ctx context.Context) ([]Table6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		mctx2 := iterationContext(mctx, out1)
+		mctx2 := mctx.WithIteration(out1.Mapping, out1.Clustering.Assign, out1.RowInstance)
 		m2 := match.Learn(mctx2, match.AllMatchers(), class, learn, s.Seed)
 		p, r, f = match.EvaluateAttributes(mctx2, m2, match.AllMatchers(), test)
 		rows[1].p = append(rows[1].p, p)
@@ -60,7 +59,7 @@ func (s *Suite) Table6Data(ctx context.Context) ([]Table6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		mctx3 := iterationContext(mctx, out2)
+		mctx3 := mctx.WithIteration(out2.Mapping, out2.Clustering.Assign, out2.RowInstance)
 		m3 := match.Learn(mctx3, match.AllMatchers(), class, learn, s.Seed)
 		p, r, f = match.EvaluateAttributes(mctx3, m3, match.AllMatchers(), test)
 		rows[2].p = append(rows[2].p, p)
@@ -105,22 +104,6 @@ func (s *Suite) goldRunIterations(ctx context.Context, class kb.ClassID, iterati
 	cfg.Iterations = iterations
 	p := core.New(cfg, models)
 	return p.Run(ctx, s.Golds[class].TableIDs)
-}
-
-// iterationContext wraps a pipeline output into a matching context carrying
-// the iteration outputs.
-func iterationContext(ctx *match.Context, out *core.Output) *match.Context {
-	prelim := make(map[match.ColRef]kb.PropertyID)
-	for tid, m := range out.Mapping {
-		for col, pid := range m {
-			prelim[match.ColRef{Table: tid, Col: col}] = pid
-		}
-	}
-	rowCluster := make(map[webtable.RowRef]int, len(out.Clustering.Assign))
-	for ref, c := range out.Clustering.Assign {
-		rowCluster[ref] = c
-	}
-	return ctx.WithIterationOutput(out.RowInstance, rowCluster, prelim)
 }
 
 // MatcherWeights reports the learned second-iteration matcher weights per

@@ -3,13 +3,11 @@ package report
 import (
 	"context"
 
-	"repro/internal/cluster"
-	"repro/internal/dtype"
+	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/fusion"
 	"repro/internal/kb"
+	"repro/internal/ml"
 	"repro/internal/newdet"
-	"repro/internal/webtable"
 )
 
 // Table8Row is one ablation step of the new detection study.
@@ -37,29 +35,20 @@ func (s *Suite) Table8Data(ctx context.Context) ([]Table8Row, error) {
 	for _, class := range kb.EvalClasses() {
 		g := s.Golds[class]
 		folds := s.Folds(class)
-		entities, err := s.goldEntities(ctx, class)
+		// The §3.4 evaluation setting: one entity per gold cluster, fused
+		// under the first-iteration mapping.
+		rows, mapping, err := s.clusterRows(ctx, class)
+		if err != nil {
+			return nil, err
+		}
+		entities, err := core.GoldEntities(ctx, s.Config(class), mapping, g, allClusters(g), rows)
 		if err != nil {
 			return nil, err
 		}
 		for fold := range folds {
-			train, test := splitFolds(folds, fold)
-			var trainEx, testEx []newdet.Example
-			var testIdx []int
-			for _, ci := range train {
-				if e := entities[ci]; e != nil {
-					trainEx = append(trainEx, newdet.Example{
-						Entity: e, IsNew: g.Clusters[ci].IsNew, Instance: g.Clusters[ci].Instance,
-					})
-				}
-			}
-			for _, ci := range test {
-				if e := entities[ci]; e != nil {
-					testEx = append(testEx, newdet.Example{
-						Entity: e, IsNew: g.Clusters[ci].IsNew, Instance: g.Clusters[ci].Instance,
-					})
-					testIdx = append(testIdx, ci)
-				}
-			}
+			train, test := ml.TrainTest(folds, fold)
+			trainEx, _ := core.DetectionExamples(g, train, entities)
+			testEx, testIdx := core.DetectionExamples(g, test, entities)
 			if len(trainEx) == 0 || len(testEx) == 0 {
 				continue
 			}
@@ -107,37 +96,4 @@ func (s *Suite) Table8(ctx context.Context) (*TextTable, error) {
 		t.Add(r.Run, r.ACC, r.F1Existing, r.F1New, r.MI)
 	}
 	return t, nil
-}
-
-// goldEntities creates one entity per gold cluster (indexed by cluster ID)
-// using the first-iteration mapping — the §3.4 evaluation setting ("before
-// we run new detection on those clusters, we create entities from them").
-func (s *Suite) goldEntities(ctx context.Context, class kb.ClassID) (map[int]*fusion.Entity, error) {
-	g := s.Golds[class]
-	rows, mapping, err := s.clusterRows(ctx, class)
-	if err != nil {
-		return nil, err
-	}
-	rowByRef := make(map[webtable.RowRef]*cluster.Row, len(rows))
-	for _, r := range rows {
-		rowByRef[r.Ref] = r
-	}
-	src := &fusion.Sources{
-		KB: s.World.KB, Corpus: s.Corpus, Class: class,
-		Mapping: mapping, Thresholds: dtype.DefaultThresholds(),
-	}
-	out := make(map[int]*fusion.Entity, len(g.Clusters))
-	for ci, c := range g.Clusters {
-		var members []*cluster.Row
-		for _, ref := range c.Rows {
-			if r, ok := rowByRef[ref]; ok {
-				members = append(members, r)
-			}
-		}
-		if len(members) == 0 {
-			continue
-		}
-		out[ci] = fusion.Create(src, members)
-	}
-	return out, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fusion"
 	"repro/internal/gold"
 	"repro/internal/kb"
+	"repro/internal/ml"
 	"repro/internal/newdet"
 	"repro/internal/par"
 	"repro/internal/webtable"
@@ -162,22 +163,21 @@ type foldRun struct {
 	suite    *Suite
 	class    kb.ClassID
 	testGold *gold.Standard
-	testIdx  []int
 	models   core.Models
 	mapping  map[int]map[int]kb.PropertyID
 	scores   map[fusion.ColKey]float64
 	rowInst  map[webtable.RowRef]kb.InstanceID
 
-	// Gold-clustering entities (per test cluster) and their detections.
-	gsEntities map[int]*fusion.Entity
-	gsDetect   map[int]newdet.Result
+	// Gold-clustering entities (per test cluster, nil where none of its
+	// rows was built) and their detections.
+	gsEntities []*fusion.Entity
+	gsDetect   []newdet.Result
 	gsResults  []eval.NewEntityResult
 
 	// Learned-clustering entities and detections.
 	allEntities []*fusion.Entity
 	allDetect   []newdet.Result
 	allResults  []eval.NewEntityResult
-	allClusters [][]*cluster.Row
 }
 
 // foldRuns trains per-fold models and materializes the fold's entities and
@@ -185,20 +185,15 @@ type foldRun struct {
 // train concurrently on the suite's worker pool.
 func (s *Suite) foldRuns(ctx context.Context, class kb.ClassID) ([]*foldRun, error) {
 	return s.foldRunCache.Get(class, func() ([]*foldRun, error) {
-		g := s.Golds[class]
-		folds := s.Folds(class)
 		rows, _, err := s.clusterRows(ctx, class)
 		if err != nil {
 			return nil, err
 		}
-		rowByRef := make(map[webtable.RowRef]*cluster.Row, len(rows))
-		for _, r := range rows {
-			rowByRef[r.Ref] = r
-		}
+		folds := s.Folds(class)
 		out := make([]*foldRun, len(folds))
 		errs := make([]error, len(folds))
 		if err := par.ForEachCtx(ctx, s.Workers, len(folds), func(i int) {
-			out[i], errs[i] = s.runFold(ctx, class, g, folds, i, rowByRef)
+			out[i], errs[i] = s.runFold(ctx, class, folds, i, rows)
 		}); err != nil {
 			return nil, err
 		}
@@ -213,19 +208,19 @@ func (s *Suite) foldRuns(ctx context.Context, class kb.ClassID) ([]*foldRun, err
 
 // runFold trains one CV fold's models and materializes its entities and
 // detections.
-func (s *Suite) runFold(ctx context.Context, class kb.ClassID, g *gold.Standard, folds [][]int, fold int, rowByRef map[webtable.RowRef]*cluster.Row) (*foldRun, error) {
-	train, test := splitFolds(folds, fold)
-	models, err := core.Train(ctx, s.Config(class), g, train)
+func (s *Suite) runFold(ctx context.Context, class kb.ClassID, folds [][]int, fold int, rows []*cluster.Row) (*foldRun, error) {
+	g := s.Golds[class]
+	train, test := ml.TrainTest(folds, fold)
+	cfg := s.Config(class)
+	models, err := core.Train(ctx, cfg, g, train)
 	if err != nil {
 		return nil, err
 	}
-	fr := &foldRun{
-		suite: s, class: class,
-		testGold: g.Subset(test), testIdx: test, models: models,
-	}
+	fr := &foldRun{suite: s, class: class, testGold: g.Subset(test), models: models}
 	// Final mapping for the fold: apply the second-iteration model
 	// with iteration outputs from a 1-iteration pipeline run.
-	out, err := core.New(withIterations(s.Config(class), 2), models).Run(ctx, g.TableIDs)
+	cfg.Iterations = 2
+	out, err := core.New(cfg, models).Run(ctx, g.TableIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -234,53 +229,38 @@ func (s *Suite) runFold(ctx context.Context, class kb.ClassID, g *gold.Standard,
 	fr.rowInst = out.RowInstance
 
 	// Gold clustering condition: entities from the test gold clusters.
-	src := &fusion.Sources{
-		KB: s.World.KB, Corpus: s.Corpus, Class: class,
-		Mapping: fr.mapping, Thresholds: dtype.DefaultThresholds(),
+	entities, err := core.GoldEntities(ctx, cfg, fr.mapping, g, test, rows)
+	if err != nil {
+		return nil, err
 	}
-	fr.gsEntities = make(map[int]*fusion.Entity)
-	fr.gsDetect = make(map[int]newdet.Result)
-	for subID, c := range fr.testGold.Clusters {
-		var members []*cluster.Row
-		for _, ref := range c.Rows {
-			if r, ok := rowByRef[ref]; ok {
-				members = append(members, r)
-			}
-		}
-		if len(members) == 0 {
+	var testRows []*cluster.Row
+	fr.gsEntities = make([]*fusion.Entity, len(test))
+	fr.gsDetect = make([]newdet.Result, len(test))
+	for i, ci := range test {
+		e := entities[ci]
+		if e == nil {
 			continue
 		}
-		e := fusion.Create(src, members)
-		fr.gsEntities[subID] = e
-		fr.gsDetect[subID] = models.Detector.Detect(e)
+		fr.gsEntities[i] = e
+		testRows = append(testRows, e.Rows...)
+		fr.gsDetect[i] = models.Detector.Detect(e)
 		fr.gsResults = append(fr.gsResults, eval.NewEntityResult{
-			Rows: c.Rows, Result: fr.gsDetect[subID],
+			Rows: fr.testGold.Clusters[i].Rows, Result: fr.gsDetect[i],
 		})
 	}
 
 	// Learned clustering condition: cluster the test rows.
-	var testRows []*cluster.Row
-	for _, c := range fr.testGold.Clusters {
-		for _, ref := range c.Rows {
-			if r, ok := rowByRef[ref]; ok {
-				testRows = append(testRows, r)
-			}
-		}
+	src := &fusion.Sources{
+		KB: s.World.KB, Corpus: s.Corpus, Class: class,
+		Mapping: fr.mapping, Thresholds: dtype.DefaultThresholds(),
 	}
 	cl := cluster.ClusterCtx(ctx, testRows, models.ClusterScorer, s.clusterOptions())
-	fr.allClusters = cl.Clusters
 	fr.allEntities = fusion.CreateAll(src, cl)
 	fr.allDetect = make([]newdet.Result, len(fr.allEntities))
 	for i, e := range fr.allEntities {
 		fr.allDetect[i] = models.Detector.Detect(e)
-		var refs []webtable.RowRef
-		for _, r := range e.Rows {
-			refs = append(refs, r.Ref)
-		}
-		fr.allResults = append(fr.allResults, eval.NewEntityResult{
-			Rows: refs, Result: fr.allDetect[i],
-		})
 	}
+	fr.allResults = entityResults(fr.allEntities, fr.allDetect)
 	return fr, ctx.Err()
 }
 
@@ -296,8 +276,8 @@ func (fr *foldRun) factsInput(clust, det string, scoring fusion.ScoringMethod) (
 	var isNew []bool
 	if clust == "GS" {
 		for subID, c := range fr.testGold.Clusters {
-			e, ok := fr.gsEntities[subID]
-			if !ok {
+			e := fr.gsEntities[subID]
+			if e == nil {
 				continue
 			}
 			refused := fusion.Create(src, e.Rows)
@@ -316,9 +296,4 @@ func (fr *foldRun) factsInput(clust, det string, scoring fusion.ScoringMethod) (
 		isNew = append(isNew, fr.allDetect[i].IsNew)
 	}
 	return entities, isNew
-}
-
-func withIterations(cfg core.Config, n int) core.Config {
-	cfg.Iterations = n
-	return cfg
 }

@@ -189,7 +189,7 @@ func (s *Suite) RankedData(ctx context.Context) (eval.RankedScores, error) {
 		if err != nil {
 			return eval.RankedScores{}, err
 		}
-		results := entityResults(run)
+		results := entityResults(run.Entities, run.Detections)
 		correct := make([]bool, len(run.Entities))
 		for i, e := range run.Entities {
 			we := s.worldEntityOf(e)

@@ -99,9 +99,6 @@ func TermCosine(x, y string) float64 {
 	return CosineSparse(PrepareCached(x).vec, PrepareCached(y).vec)
 }
 
-// NumTokens returns the number of tokens.
-func (p *PreparedLabel) NumTokens() int { return len(p.Tokens) }
-
 // TermVec returns the label's sorted binary term vector (weight 1 per
 // distinct token, Euclidean norm cached). The caller must not mutate it.
 func (p *PreparedLabel) TermVec() SparseVec { return p.vec }

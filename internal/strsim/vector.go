@@ -84,11 +84,6 @@ func Jaccard(a, b map[string]bool) float64 {
 	return float64(inter) / float64(union)
 }
 
-// JaccardStrings tokenizes both strings and returns their Jaccard similarity.
-func JaccardStrings(a, b string) float64 {
-	return Jaccard(TokenSet(a), TokenSet(b))
-}
-
 // KV is one component of a sparse vector.
 type KV struct {
 	K string
@@ -172,17 +167,6 @@ func normElems(elems []KV) float64 {
 		s += kv.V * kv.V
 	}
 	return math.Sqrt(s)
-}
-
-// Merge adds src into dst (dst += src) and returns dst.
-func Merge(dst, src map[string]float64) map[string]float64 {
-	if dst == nil {
-		dst = make(map[string]float64, len(src))
-	}
-	for k, v := range src {
-		dst[k] += v
-	}
-	return dst
 }
 
 // MergeBinary sets every key of src in dst with weight 1.
