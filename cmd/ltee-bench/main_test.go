@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // TestRunEmitsReport runs one cheap micro benchmark end to end and checks
@@ -69,6 +71,29 @@ func TestRegressions(t *testing.T) {
 	}
 	if got := regressions(cur, base, 0.5); len(got) != 0 {
 		t.Fatalf("with 50%% slack want none, got %v", got)
+	}
+}
+
+// TestBaselineNamesRegistered: regressions skips baseline entries the run
+// did not produce, so a tracked benchmark renamed or dropped from the
+// registry would silently leave the gate. Every name the committed
+// baseline tracks must still be registered.
+func TestBaselineNamesRegistered(t *testing.T) {
+	base, err := loadReport("../../bench_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := make(map[string]bool)
+	for _, nb := range append(bench.All(), bench.Scale()...) {
+		registered[nb.Name] = true
+	}
+	for _, r := range base.Benchmarks {
+		if !registered[r.Name] {
+			t.Errorf("baseline benchmark %q is not registered in bench.All or bench.Scale", r.Name)
+		}
+	}
+	if len(base.Benchmarks) == 0 {
+		t.Fatal("baseline lists no benchmarks")
 	}
 }
 

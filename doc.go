@@ -79,7 +79,7 @@
 // neighborhood index). cmd/ltee-bench tracks the hot-path benchmarks in
 // BENCH_hotpath.json, gated in CI against bench_baseline.json.
 //
-// The benchmarks in bench_test.go regenerate every evaluation table of
+// The benchmarks of internal/report regenerate every evaluation table of
 // the paper; cmd/ltee prints them, and examples/ holds runnable
 // end-to-end scenarios built exclusively on the public API.
 //

@@ -1,8 +1,9 @@
 // Package bench holds the repo's hot-path benchmark bodies in importable
 // form, so the same measurements run two ways: as ordinary `go test -bench`
-// benchmarks (thin wrappers in the repo root) and through cmd/ltee-bench,
-// which executes them with testing.Benchmark and emits machine-readable
-// BENCH_hotpath.json — the perf trajectory every later PR is held to.
+// benchmarks (BenchmarkHotpath and BenchmarkScale loop over All and Scale)
+// and through cmd/ltee-bench, which executes them with testing.Benchmark
+// and emits machine-readable BENCH_hotpath.json — the perf trajectory
+// every later change is held to.
 //
 // Fixtures are built lazily and shared across benchmarks: world generation,
 // corpus synthesis, and engine warm-up are paid once per process, outside
@@ -114,7 +115,7 @@ func ClusterGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := cluster.Cluster(f.rows, f.scorer, opts)
+		out := cluster.ClusterCtx(b.Context(), f.rows, f.scorer, opts)
 		if out.NumClusters() == 0 {
 			b.Fatal("no clusters")
 		}
@@ -169,8 +170,7 @@ func IngestBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := f.base.Fork()
-		//lteelint:ignore ctxflow benchmark body; testing.B carries no context and the run must not be cancellable
-		out, _, err := eng.Ingest(context.Background(), f.second)
+		out, _, err := eng.Ingest(b.Context(), f.second)
 		if err != nil {
 			b.Fatalf("ingest: %v", err)
 		}

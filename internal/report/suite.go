@@ -1,6 +1,6 @@
 // Package report regenerates every table of the paper's evaluation
 // (Tables 1-12 plus the §6 ranked evaluation) over the synthetic world.
-// The same harness backs the ltee CLI (cmd/ltee) and the repository-level
+// The same harness backs the ltee CLI (cmd/ltee) and the package's
 // benchmarks (bench_test.go); testdata/tables.golden pins every rendered
 // table at the test suite's scale (TestPaperTablesGolden).
 package report

@@ -71,15 +71,6 @@ func Tokens(s string) []string {
 	return strings.Fields(n)
 }
 
-// TokenSet returns the set of normalized tokens of s.
-func TokenSet(s string) map[string]bool {
-	set := make(map[string]bool)
-	for _, t := range Tokens(s) {
-		set[t] = true
-	}
-	return set
-}
-
 // TermVector counts normalized token occurrences in each of the given
 // strings, producing a term-frequency vector.
 func TermVector(ss ...string) map[string]float64 {
