@@ -76,8 +76,13 @@
 // bounded variants, interned tokens with a Monge-Elkan pair memo, and
 // prepared label forms threaded through clustering, matching, detection
 // and the label index (whose fuzzy fallback runs on a single-deletion
-// neighborhood index). cmd/ltee-bench tracks the hot-path benchmarks in
-// BENCH_hotpath.json, gated in CI against bench_baseline.json.
+// neighborhood index). Symmetric Monge-Elkan takes one pass over the
+// token-pair matrix. Within an ingest epoch, row clustering scores each
+// directed row pair, each PHI table pair and each fact-value string pair
+// at most once, through a score cache that every pipeline iteration of the
+// epoch shares and that dies with the epoch. cmd/ltee-bench tracks the
+// hot-path benchmarks in BENCH_hotpath.json, gated in CI against
+// bench_baseline.json.
 //
 // The benchmarks of internal/report regenerate every evaluation table of
 // the paper; cmd/ltee prints them, and examples/ holds runnable

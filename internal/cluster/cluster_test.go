@@ -191,6 +191,8 @@ func TestKLjSplitsNegativeRows(t *testing.T) {
 	st := &clusterer{scorer: s, opts: Options{Blocking: true, MaxKLjRounds: 2}, blockIndex: map[string]map[int]bool{}}
 	ci := st.newCluster(a)
 	st.addToCluster(ci, b)
+	st.cache = NewScoreCache(nil)
+	st.cache.begin(s)
 	st.klj(context.Background())
 	res := st.result()
 	if res.NumClusters() != 2 {

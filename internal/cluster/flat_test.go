@@ -131,10 +131,10 @@ func TestKLjMemoEquivalentAcrossBatches(t *testing.T) {
 	for start := 0; start < len(rows); start += 100 {
 		end := start + 100
 		kljUnmemoized(plain)
-		if err := memo.Add(context.Background(), a[start:end]); err != nil {
+		if err := memo.Add(context.Background(), a[start:end], nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := plain.Add(context.Background(), b[start:end]); err != nil {
+		if err := plain.Add(context.Background(), b[start:end], nil); err != nil {
 			t.Fatal(err)
 		}
 		mr, pr := memo.Result(), plain.Result()
@@ -161,7 +161,7 @@ func TestCompactInvariants(t *testing.T) {
 	}
 	inc := NewIncremental(labelScorer(), NewOptions())
 	for start := 0; start < len(rows); start += 50 {
-		if err := inc.Add(context.Background(), rows[start:start+50]); err != nil {
+		if err := inc.Add(context.Background(), rows[start:start+50], nil); err != nil {
 			t.Fatal(err)
 		}
 		c := inc.c

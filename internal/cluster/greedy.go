@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/webtable"
@@ -74,7 +73,7 @@ func Cluster(rows []*Row, scorer *Scorer, opts Options) *Clustering {
 // clustering.
 func ClusterCtx(ctx context.Context, rows []*Row, scorer *Scorer, opts Options) *Clustering {
 	inc := NewIncremental(scorer, opts)
-	inc.Add(ctx, rows)
+	inc.Add(ctx, rows, nil)
 	return inc.Result()
 }
 
@@ -97,14 +96,8 @@ type clusterer struct {
 	pairNoop map[[2]int][2]uint64
 	// splitNoop records the version at a cluster's last no-op split pass.
 	splitNoop map[int]uint64
-	// pairCache memoizes directed row-pair scores for the duration of one
-	// klj call (rows and their vectors are immutable within an Add). The
-	// refinement re-reads the same products many times — a cluster's
-	// internal attachment sums are recomputed against every block
-	// neighbor, and a failed merge's cross products are immediately
-	// re-read by the move pass — so caching turns the dominant refinement
-	// cost from pairs×rereads into distinct pairs.
-	pairCache map[[2]*Row]float64
+	// cache is the epoch's score cache while an Add runs (nil otherwise).
+	cache *ScoreCache
 	// moved is set by any KLj mutation (merge, move, split) since the last
 	// compact. Greedy additions keep the block bookkeeping exact
 	// incrementally and never empty a cluster, so compact is skipped while
@@ -117,17 +110,6 @@ type clusterer struct {
 	// unmoved clusters provably carries a valid pairNoop verdict (see
 	// candidatePairs), so enumerating it would only re-skip it.
 	lastKljVer []uint64
-	// tableGen counts Add batches. Table-level row state (TableVec) may be
-	// rewritten between Adds by the engine's PHI refresh, so per-worker
-	// tablePairMemos are stamped with the generation they were filled under
-	// and cleared when it moves on.
-	tableGen uint64
-	// tableMemo is the serial KLj pass's table-pair metric memo, fresh per
-	// klj call (the parallel greedy pass uses per-scratch memos instead).
-	tableMemo *tablePairMemo
-	// scratch recycles the candidate-gathering state of bestCluster
-	// across rows and worker goroutines.
-	scratch sync.Pool
 }
 
 // bump marks cluster ci's membership as changed. Versions are draws from a
@@ -138,26 +120,23 @@ func (c *clusterer) bump(ci int) {
 	c.ver[ci] = c.verTick
 }
 
-// bestScratch is the per-call working state of bestCluster: a visited set
-// and the sorted candidate list. Reused via clusterer.scratch; seen is
+// bestScratch is the per-call working state of bestCluster: a visited set,
+// the sorted candidate list and the worker's metric memo. It is reused
+// through the Add's ScoreCache, so the memo lives for the epoch; seen is
 // cleared on the way out (by the candidates just gathered, so clearing is
 // O(candidates)).
 type bestScratch struct {
 	seen map[int]bool
 	cand []int
-	// memo caches table-level metric outputs for this worker; valid for
-	// the Add generation stamped in memoGen (TableVec may be rewritten
-	// between Adds).
-	memo    *tablePairMemo
-	memoGen uint64
+	memo *metricMemo
 }
 
 // greedy sequentially applies batches; scores within a batch are computed
 // in parallel against a snapshot of the clusters, so batch members cannot
 // see each other — the "errors during clustering" the paper accepts and
-// repairs with KLj. Cancellation is checked once per batch: a batch whose
-// scores were computed is still applied in full, so the state never holds a
-// half-applied batch.
+// repairs with KLj. Cancellation stops a batch's scoring between rows, and
+// the batch is then dropped before any of its decisions is applied, so the
+// state never holds a half-applied batch.
 func (c *clusterer) greedy(ctx context.Context, rows []*Row) error {
 	type decision struct {
 		row     *Row
@@ -174,10 +153,13 @@ func (c *clusterer) greedy(ctx context.Context, rows []*Row) error {
 		}
 		batch := rows[start:end]
 		decisions := make([]decision, len(batch))
-		par.ForEach(c.opts.Workers, len(batch), func(i int) {
+		err := par.ForEachCtx(ctx, c.opts.Workers, len(batch), func(i int) {
 			best, score := c.bestCluster(batch[i])
 			decisions[i] = decision{row: batch[i], cluster: best, score: score}
 		})
+		if err != nil {
+			return err
+		}
 		for _, d := range decisions {
 			if d.cluster >= 0 && d.score > 0 {
 				c.addToCluster(d.cluster, d.row)
@@ -194,17 +176,8 @@ func (c *clusterer) greedy(ctx context.Context, rows []*Row) error {
 // Candidates are visited in ascending cluster ID so that score ties resolve
 // deterministically (map iteration order must not leak into the result).
 func (c *clusterer) bestCluster(row *Row) (int, float64) {
-	sc, _ := c.scratch.Get().(*bestScratch)
-	if sc == nil {
-		sc = &bestScratch{seen: make(map[int]bool, 64)}
-	}
-	if sc.memo == nil {
-		sc.memo = newTablePairMemo(c.scorer)
-		sc.memoGen = c.tableGen
-	} else if sc.memoGen != c.tableGen {
-		sc.memo.Reset()
-		sc.memoGen = c.tableGen
-	}
+	sc := c.cache.getScratch()
+	defer c.cache.putScratch(sc)
 	best, bestScore := -1, 0.0
 	score := func(ci int) {
 		cl := c.clusters[ci]
@@ -222,7 +195,6 @@ func (c *clusterer) bestCluster(row *Row) (int, float64) {
 		for ci := range c.clusters {
 			score(ci)
 		}
-		c.scratch.Put(sc)
 		return best, bestScore
 	}
 	cand := sc.cand[:0]
@@ -240,7 +212,6 @@ func (c *clusterer) bestCluster(row *Row) (int, float64) {
 		score(ci)
 	}
 	sc.cand = cand
-	c.scratch.Put(sc)
 	return best, bestScore
 }
 

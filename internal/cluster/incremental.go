@@ -47,17 +47,25 @@ func NewIncremental(scorer *Scorer, opts Options) *Incremental {
 // KLj refinement when enabled. Adding an empty batch leaves the state
 // untouched.
 //
-// Cancellation checkpoints sit between greedy batches and between KLj
-// rounds; a non-nil error means the clusterer state is torn mid-refinement
-// and the caller must discard it (the ingestion engine always Adds to a
-// clone, so abandoning the clone is enough).
-func (inc *Incremental) Add(ctx context.Context, rows []*Row) error {
+// Pair scores go through cache, which the Adds of one ingest epoch share
+// (see ScoreCache); nil scores through a cache private to this call. The
+// cached floats are the scorer's own, so the clustering is the same either
+// way.
+//
+// Cancellation checkpoints sit between greedy rows and between KLj rounds;
+// a non-nil error means the clusterer state is torn mid-refinement and the
+// caller must discard it (the ingestion engine always Adds to a clone, so
+// abandoning the clone is enough).
+func (inc *Incremental) Add(ctx context.Context, rows []*Row, cache *ScoreCache) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	// New batch: table-level row state (TableVec) may have been refreshed
-	// since the last Add, so per-worker table-pair memos must restart.
-	inc.c.tableGen++
+	if cache == nil {
+		cache = NewScoreCache(nil)
+	}
+	cache.begin(inc.c.scorer)
+	inc.c.cache = cache
+	defer func() { inc.c.cache = nil }()
 	if err := inc.c.greedy(ctx, rows); err != nil {
 		return err
 	}
@@ -92,7 +100,6 @@ func (inc *Incremental) Clone() *Incremental {
 		splitNoop:  make(map[int]uint64, len(src.splitNoop)),
 		moved:      src.moved,
 		lastKljVer: append([]uint64(nil), src.lastKljVer...),
-		tableGen:   src.tableGen,
 	}
 	for p, v := range src.pairNoop {
 		dst.pairNoop[p] = v

@@ -40,7 +40,7 @@ func TestIncrementalOneShotEqualsCluster(t *testing.T) {
 		want := Cluster(rows, labelScorer(), opts)
 
 		inc := NewIncremental(labelScorer(), opts)
-		inc.Add(context.Background(), rows)
+		inc.Add(context.Background(), rows, nil)
 		got := inc.Result()
 		if !reflect.DeepEqual(want.Assign, got.Assign) {
 			t.Errorf("klj=%v: one-shot incremental differs from Cluster", klj)
@@ -60,7 +60,7 @@ func TestIncrementalGrowth(t *testing.T) {
 		mkRow(0, 0, "Tom Brady", nil),
 		mkRow(0, 1, "Eli Manning", nil),
 	}
-	inc.Add(context.Background(), batch1)
+	inc.Add(context.Background(), batch1, nil)
 	if n := inc.Result().NumClusters(); n != 2 {
 		t.Fatalf("batch 1: %d clusters, want 2", n)
 	}
@@ -72,7 +72,7 @@ func TestIncrementalGrowth(t *testing.T) {
 		mkRow(1, 0, "Tom Brady", nil),      // joins the existing Brady cluster
 		mkRow(1, 1, "Russell Wilson", nil), // genuinely new
 	}
-	inc.Add(context.Background(), batch2)
+	inc.Add(context.Background(), batch2, nil)
 	out := inc.Result()
 	if n := out.NumClusters(); n != 3 {
 		t.Fatalf("after batch 2: %d clusters, want 3", n)
@@ -107,8 +107,8 @@ func TestPersistentBlocksReachEarlierLabels(t *testing.T) {
 	opts := NewOptions()
 	opts.Workers = 1
 	inc := NewIncremental(labelScorer(), opts)
-	inc.Add(context.Background(), first)
-	inc.Add(context.Background(), second)
+	inc.Add(context.Background(), first, nil)
+	inc.Add(context.Background(), second, nil)
 	out := inc.Result()
 	if out.Assign[first[0].Ref] != out.Assign[second[0].Ref] {
 		t.Error("fuzzy cross-batch variant did not reach the retained cluster")
@@ -178,7 +178,7 @@ func TestIncrementalCompactsEmptyClusters(t *testing.T) {
 	inc := NewIncremental(labelScorer(), opts)
 	// Same batch, so the parallel greedy snapshot makes each row its own
 	// cluster; KLj then merges them, emptying one.
-	inc.Add(context.Background(), []*Row{mkRow(0, 0, "Tom Brady", nil), mkRow(1, 0, "Tom Brady", nil)})
+	inc.Add(context.Background(), []*Row{mkRow(0, 0, "Tom Brady", nil), mkRow(1, 0, "Tom Brady", nil)}, nil)
 	if got := inc.Result().NumClusters(); got != 1 {
 		t.Fatalf("clusters = %d, want 1", got)
 	}
@@ -199,9 +199,9 @@ func TestIncrementalAddEmptyIsNoop(t *testing.T) {
 	opts := NewOptions()
 	opts.Workers = 1
 	inc := NewIncremental(labelScorer(), opts)
-	inc.Add(context.Background(), []*Row{mkRow(0, 0, "Tom Brady", nil)})
+	inc.Add(context.Background(), []*Row{mkRow(0, 0, "Tom Brady", nil)}, nil)
 	before := inc.Result()
-	inc.Add(context.Background(), nil)
+	inc.Add(context.Background(), nil, nil)
 	after := inc.Result()
 	if !reflect.DeepEqual(before.Assign, after.Assign) {
 		t.Error("empty Add changed the clustering")
@@ -215,11 +215,11 @@ func TestIncrementalClone(t *testing.T) {
 	opts.Workers = 1
 	base := NewIncremental(labelScorer(), opts)
 	seed := mkRow(0, 0, "Tom Brady", nil)
-	base.Add(context.Background(), []*Row{seed})
+	base.Add(context.Background(), []*Row{seed}, nil)
 
 	fork := base.Clone()
 	joiner := mkRow(1, 0, "Tom Brady", nil)
-	fork.Add(context.Background(), []*Row{joiner, mkRow(1, 1, "Drew Brees", nil)})
+	fork.Add(context.Background(), []*Row{joiner, mkRow(1, 1, "Drew Brees", nil)}, nil)
 
 	if got := base.NumRows(); got != 1 {
 		t.Errorf("clone add leaked into base: %d rows", got)
@@ -303,8 +303,8 @@ func TestIncrementalMultiBatchCloseToOneShot(t *testing.T) {
 
 	inc := NewIncremental(labelScorer(), opts)
 	half := len(rows) / 2
-	inc.Add(context.Background(), rows[:half])
-	inc.Add(context.Background(), rows[half:])
+	inc.Add(context.Background(), rows[:half], nil)
+	inc.Add(context.Background(), rows[half:], nil)
 	grown := inc.Result()
 
 	if got, want := len(grown.Assign), len(full.Assign); got != want {

@@ -36,11 +36,6 @@ func (c *clusterer) klj(ctx context.Context) error {
 	if c.splitNoop == nil {
 		c.splitNoop = make(map[int]uint64)
 	}
-	// Fresh per-call caches: row vectors may be rewritten between Adds
-	// (the engine's PHI refresh), so cached scores must not outlive the call.
-	c.pairCache = make(map[[2]*Row]float64)
-	c.tableMemo = newTablePairMemo(c.scorer)
-	defer func() { c.pairCache, c.tableMemo = nil, nil }()
 	for round := 0; round < c.opts.MaxKLjRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -247,15 +242,12 @@ func (c *clusterer) trySplit(ci int) bool {
 	return split
 }
 
-// pairScore is Scorer.Pair through the per-call caches; identical floats,
-// each distinct directed pair computed at most once per klj call and
-// table-level metric outputs computed once per table pair.
+// pairScore is Scorer.Pair through the Add's ScoreCache: identical floats,
+// each distinct directed pair computed at most once per epoch. The
+// refinement re-reads the same products many times — a cluster's internal
+// attachment sums are recomputed against every block neighbor, and a
+// failed merge's cross products are immediately re-read by the move pass —
+// and the epoch's next pipeline iteration re-reads every retained pair.
 func (c *clusterer) pairScore(ra, rb *Row) float64 {
-	k := [2]*Row{ra, rb}
-	if v, ok := c.pairCache[k]; ok {
-		return v
-	}
-	v := c.scorer.pairMemo(ra, rb, c.tableMemo)
-	c.pairCache[k] = v
-	return v
+	return c.cache.pair(ra, rb)
 }

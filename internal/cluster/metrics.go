@@ -92,6 +92,10 @@ type attributeMetric struct {
 func (attributeMetric) Name() string { return "ATTRIBUTE" }
 
 func (m attributeMetric) Compare(a, b *Row) (float64, float64) {
+	return m.compareMemo(a, b, nil)
+}
+
+func (m attributeMetric) compareMemo(a, b *Row, memo *metricMemo) (float64, float64) {
 	pairs, equal := 0, 0
 	for pid, va := range a.Values {
 		vb, ok := b.Values[pid]
@@ -99,7 +103,7 @@ func (m attributeMetric) Compare(a, b *Row) (float64, float64) {
 			continue
 		}
 		pairs++
-		if m.th.Equal(va, vb) {
+		if memo.equal(m.th, va, vb) {
 			equal++
 		}
 	}
@@ -119,6 +123,10 @@ type implicitMetric struct {
 func (implicitMetric) Name() string { return "IMPLICIT_ATT" }
 
 func (m implicitMetric) Compare(a, b *Row) (float64, float64) {
+	return m.compareMemo(a, b, nil)
+}
+
+func (m implicitMetric) compareMemo(a, b *Row, memo *metricMemo) (float64, float64) {
 	simSum, confSum := 0.0, 0.0
 	pairs := 0
 	direction := func(x, y *Row) {
@@ -135,7 +143,7 @@ func (m implicitMetric) Compare(a, b *Row) (float64, float64) {
 			if ib, ok := y.Implicit[pid]; ok {
 				pairs++
 				confSum += ia.Score
-				if m.th.Equal(ia.Value, ib.Value) {
+				if memo.equal(m.th, ia.Value, ib.Value) {
 					simSum++
 				}
 			}
@@ -143,7 +151,7 @@ func (m implicitMetric) Compare(a, b *Row) (float64, float64) {
 			if vb, ok := y.Values[pid]; ok {
 				pairs++
 				confSum += ia.Score
-				if m.th.Equal(ia.Value, vb) {
+				if memo.equal(m.th, ia.Value, vb) {
 					simSum++
 				}
 			}

@@ -120,7 +120,9 @@ func (bi *BlockIndex) Clone() *BlockIndex {
 // every Build extends it with the batch's tables and re-finalizes over all
 // tables seen so far, and Refresh then realigns the retained rows'
 // TableVec to the same model, so cross-epoch pair scores always compare
-// vectors from one distribution.
+// vectors from one distribution. Both steps are skipped while the
+// statistics stand: a Build that only re-adds tables with their labels
+// leaves the model's generation, and so every vector, unchanged.
 type PhiModel struct {
 	m *phiModel
 }
@@ -155,15 +157,34 @@ func (pm *PhiModel) Clone() *PhiModel {
 		nc.cooc[x] = m
 	}
 	nc.coocStale = pm.m.coocStale
+	// Vectors are not copied: the clone's next finalize recomputes them at
+	// the same generation, and the rows refreshed at it stay valid.
+	nc.gen, nc.refreshGen = pm.m.gen, pm.m.refreshGen
 	return &PhiModel{m: nc}
 }
 
 // Refresh recomputes the TableVec of the given rows from the current
 // model. It requires a preceding Build (which finalizes the model); the
-// engine calls it for the retained rows after each batch extends the
-// statistics.
+// engine calls it for the retained rows after each batch's Build.
+//
+// It does nothing when the generation has not moved since the last
+// Refresh. That is exact for the engine, which always refreshes its
+// retained rows: they were refreshed at the current generation, and every
+// other row got its vector from a Build at that generation.
 func (pm *PhiModel) Refresh(rows []*Row) {
+	if pm.m.refreshGen == pm.m.gen {
+		return
+	}
+	pm.m.refreshGen = pm.m.gen
 	assignVectors(pm.m, rows)
+}
+
+// generation returns the model's statistics generation (0 for nil).
+func (pm *PhiModel) generation() uint64 {
+	if pm == nil {
+		return 0
+	}
+	return pm.m.gen
 }
 
 // assignVectors computes one sorted PHI vector per distinct table and

@@ -34,6 +34,16 @@ type phiModel struct {
 	coocStale bool
 	nLabels   int
 	vectors   map[string]map[string]float64
+	// gen counts the addTable calls that changed the statistics. A re-add
+	// of a table with identical labels leaves it alone, so finalize, the
+	// Refresh of retained rows and every score cached against their
+	// vectors (ScoreCache) can tell "the statistics moved" from "the same
+	// batch was added again" (the engine re-builds its batch on every
+	// pipeline iteration of an epoch).
+	gen uint64
+	// finalGen is the generation vectors were computed at; refreshGen the
+	// generation of the last PhiModel.Refresh.
+	finalGen, refreshGen uint64
 }
 
 func newPhiModel() *phiModel {
@@ -46,9 +56,14 @@ func newPhiModel() *phiModel {
 }
 
 func (p *phiModel) addTable(id int, labels []string) {
-	if old, ok := p.tables[id]; ok && !equalLabels(old, labels) {
+	old, ok := p.tables[id]
+	if ok && equalLabels(old, labels) {
+		return // every label is already counted for this table
+	}
+	if ok {
 		p.coocStale = true
 	}
+	p.gen++
 	p.tables[id] = labels
 	for _, l := range labels {
 		if p.labelTables[l] == nil {
@@ -100,7 +115,14 @@ func equalLabels(a, b []string) bool {
 // increments, and the PHI expression is evaluated in the same shape) with
 // the same candidate sets whenever tables are only added or re-added with
 // identical labels.
+//
+// It does nothing when the statistics have not changed since the vectors
+// were last computed.
 func (p *phiModel) finalize() {
+	if p.vectors != nil && p.finalGen == p.gen {
+		return
+	}
+	p.finalGen = p.gen
 	if p.coocStale {
 		p.finalizeReference()
 		return

@@ -86,8 +86,9 @@ type Builder struct {
 	// one-shot pipeline behavior.
 	Blocks *BlockIndex
 	// Phi, when set, persists the PHI statistics across Build calls: each
-	// Build extends them with its tables and re-finalizes over everything
-	// seen so far. Nil keeps the statistics local to the call.
+	// Build extends them with its tables and, when that changed them,
+	// re-finalizes over everything seen so far. Nil keeps the statistics
+	// local to the call.
 	Phi *PhiModel
 }
 

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"repro/internal/agg"
+	"repro/internal/dtype"
+	"repro/internal/strsim"
 )
 
 // Scorer combines a metric set with an aggregator into the row similarity
@@ -51,67 +53,108 @@ type tableLevelMetric interface {
 	TableLevel()
 }
 
-// tablePairMemo caches the outputs of a scorer's table-level metrics per
-// (metric, tableA, tableB) key. PHI is the motivating case: its cosine
-// compares per-table vectors whose support grows with the corpus
-// vocabulary, yet every row pair drawn from the same two tables repeats
-// the identical computation. The memo is exact — values are the metrics'
-// own outputs — but it must not outlive the table-level state it caches
-// (the engine's PHI refresh rewrites TableVec between Add batches), so
-// holders reset or discard it whenever that state may have changed. Not
-// safe for concurrent use; the parallel greedy pass keeps one per worker
-// scratch.
-type tablePairMemo struct {
-	// mask flags the table-level metric indices; nil when the scorer has
-	// none (pairMemo then degenerates to Pair).
-	mask []bool
-	m    map[[3]int][2]float64
+// valueMetric is a Metric that compares fact values through
+// dtype.Thresholds.Equal; compareMemo is Compare with the values' string
+// similarities served from a memo (nil: no memo, exactly Compare).
+type valueMetric interface {
+	Metric
+	compareMemo(a, b *Row, memo *metricMemo) (score, confidence float64)
 }
 
-// newTablePairMemo returns a memo sized for the scorer's metric set.
-func newTablePairMemo(s *Scorer) *tablePairMemo {
-	var mask []bool
-	for i, m := range s.Metrics {
-		if _, ok := m.(tableLevelMetric); ok {
-			if mask == nil {
-				mask = make([]bool, len(s.Metrics))
-			}
-			mask[i] = true
+// metricMemo caches metric work that recurs across row pairs:
+//   - table-level metric outputs per (metric, tableA, tableB). PHI is the
+//     motivating case: its cosine compares per-table vectors whose support
+//     grows with the corpus vocabulary, yet every row pair drawn from the
+//     same two tables repeats the identical computation;
+//   - the Monge-Elkan similarity of each fact-value string pair compared by
+//     the value metrics. Fact values recur across rows far more often than
+//     they are distinct, and the similarity is a pure function of the two
+//     strings.
+//
+// Every entry is the exact value it replaces. The table entries are valid
+// only while the rows' TableVec stands, which ScoreCache guarantees by
+// discarding its memos when the PHI generation moves. Not safe for
+// concurrent use; the parallel greedy pass keeps one per worker.
+type metricMemo struct {
+	// tableLevel and value flag, per metric index, the table-level metrics
+	// and the value metrics (nil entries elsewhere).
+	tableLevel []bool
+	value      []valueMetric
+	tables     map[[3]int][2]float64
+	text       map[[2]string]float64
+}
+
+// newMetricMemo returns an empty memo for the scorer's metric set.
+func newMetricMemo(s *Scorer) *metricMemo {
+	m := &metricMemo{
+		tableLevel: make([]bool, len(s.Metrics)),
+		value:      make([]valueMetric, len(s.Metrics)),
+		tables:     make(map[[3]int][2]float64),
+		text:       make(map[[2]string]float64),
+	}
+	for i, mt := range s.Metrics {
+		if _, ok := mt.(tableLevelMetric); ok {
+			m.tableLevel[i] = true
+		}
+		if vm, ok := mt.(valueMetric); ok {
+			m.value[i] = vm
 		}
 	}
-	if mask == nil {
-		return &tablePairMemo{}
-	}
-	return &tablePairMemo{mask: mask, m: make(map[[3]int][2]float64)}
+	return m
 }
 
-// Reset drops all cached values (keeping the metric mask).
-func (tm *tablePairMemo) Reset() {
-	clear(tm.m)
+// equal is th.Equal(a, b) with the text similarity served from the memo;
+// a nil memo computes it directly.
+func (m *metricMemo) equal(th dtype.Thresholds, a, b dtype.Value) bool {
+	if m == nil {
+		return th.Equal(a, b)
+	}
+	return dtype.EqualWith(th, a, b, m.textSim)
 }
 
-// pairMemo is Pair with table-level metric outputs served from the memo.
-// The returned score is bit-identical to Pair's: cached entries are the
-// metrics' own Compare outputs, and table-level metrics return the same
-// floats for every row pair of the same two tables by definition.
-func (s *Scorer) pairMemo(a, b *Row, memo *tablePairMemo) float64 {
-	if memo == nil || memo.mask == nil {
-		return s.Pair(a, b)
+// textSim is strsim.MongeElkanSymCached, memoized per unordered string
+// pair: the symmetric similarity adds its two directed halves
+// commutatively, so both argument orders yield the same float. Identical
+// strings score exactly 1 (every token matches itself), so they skip the
+// memo.
+func (m *metricMemo) textSim(a, b string) float64 {
+	if a == b {
+		return 1
 	}
+	if a > b {
+		a, b = b, a
+	}
+	k := [2]string{a, b}
+	if v, ok := m.text[k]; ok {
+		return v
+	}
+	v := strsim.MongeElkanSymCached(a, b)
+	m.text[k] = v
+	return v
+}
+
+// pairMemo is Pair with table-level metric outputs and fact-value string
+// similarities served from the memo. The returned score is bit-identical
+// to Pair's: cached entries are the exact values they replace, and
+// table-level metrics return the same floats for every row pair of the
+// same two tables by definition.
+func (s *Scorer) pairMemo(a, b *Row, memo *metricMemo) float64 {
 	f := agg.BorrowFeatures(len(s.Metrics))
 	for i, m := range s.Metrics {
-		if memo.mask[i] {
+		switch {
+		case memo.tableLevel[i]:
 			k := [3]int{i, a.Ref.Table, b.Ref.Table}
-			if v, ok := memo.m[k]; ok {
-				f.Scores[i], f.Confs[i] = v[0], v[1]
-				continue
+			v, ok := memo.tables[k]
+			if !ok {
+				v[0], v[1] = m.Compare(a, b)
+				memo.tables[k] = v
 			}
-			sc, cf := m.Compare(a, b)
-			memo.m[k] = [2]float64{sc, cf}
-			f.Scores[i], f.Confs[i] = sc, cf
-			continue
+			f.Scores[i], f.Confs[i] = v[0], v[1]
+		case memo.value[i] != nil:
+			f.Scores[i], f.Confs[i] = memo.value[i].compareMemo(a, b, memo)
+		default:
+			f.Scores[i], f.Confs[i] = m.Compare(a, b)
 		}
-		f.Scores[i], f.Confs[i] = m.Compare(a, b)
 	}
 	score := s.Agg.Score(*f)
 	agg.ReturnFeatures(f)

@@ -100,6 +100,10 @@ type Engine struct {
 	// revalidated counts memoized detections reused after a KB version
 	// change because the entity's candidate list was unchanged.
 	revalidated int
+	// scoredPairs counts the row-pair scores the epochs' score caches
+	// computed; with one cache per iteration instead of per epoch it would
+	// be higher by the scores served to a later iteration.
+	scoredPairs int
 }
 
 // memoEntry is one memoized cluster: the canonical *Entity created for its
@@ -489,6 +493,11 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 	mc := match.NewContext(e.Cfg.KB, e.Cfg.Corpus)
 	mc.Class = e.Cfg.Class
 
+	// One score cache per epoch, shared by every iteration's clustering and
+	// dropped when Ingest returns, whatever the outcome.
+	cache := cluster.NewScoreCache(e.phi)
+	defer func() { e.scoredPairs += cache.Scored() }()
+
 	var out *Output
 	var grown *cluster.Incremental
 	ran := 0
@@ -506,7 +515,7 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 			out.MatchScores = next.MatchScores
 			break
 		}
-		if grown, err = e.finishIteration(ctx, it+1, next, newIDs); err != nil {
+		if grown, err = e.finishIteration(ctx, it+1, next, newIDs, cache); err != nil {
 			return nil, IngestStats{}, err
 		}
 		out = next
@@ -662,13 +671,17 @@ func sameBatchMatch(prev, next *Output, newIDs []int, scores bool) bool {
 // finishIteration completes a pass begun by matchBatch: row building for
 // the new tables, incremental clustering against a clone of the retained
 // state, then entity creation and new detection over the full ingested
-// set. It fills out and returns the grown clustering.
-func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newIDs []int) (*cluster.Incremental, error) {
+// set. It fills out and returns the grown clustering. Clustering scores
+// through cache, the epoch's ScoreCache.
+func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newIDs []int, cache *cluster.ScoreCache) (*cluster.Incremental, error) {
 	// Row building for the new tables; retained rows are reused as built
 	// (their tables' mapping did not change). Blocking and PHI statistics
 	// persist across epochs: new rows block against every label seen so
 	// far, and after the batch extends the PHI model the retained rows'
 	// vectors are refreshed so all pair scores compare within one model.
+	// A later iteration re-adds the same batch, which leaves the model's
+	// generation, and so the vectors and the epoch's cached scores, as
+	// they were.
 	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageBuild, Count: len(newIDs)})
 	builder := &cluster.Builder{
 		KB: e.Cfg.KB, Corpus: e.Cfg.Corpus, Class: e.Cfg.Class,
@@ -694,7 +707,7 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 	// mapping).
 	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageCluster, Count: len(newRows)})
 	grown := e.clusters.Clone()
-	if err := grown.Add(ctx, newRows); err != nil {
+	if err := grown.Add(ctx, newRows, cache); err != nil {
 		return nil, err
 	}
 	out.Clustering = grown.Result()

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/fusion"
 	"repro/internal/kb"
 	"repro/internal/match"
@@ -80,16 +81,18 @@ func TestLSHEquivalenceOverScenarios(t *testing.T) {
 }
 
 // fullEpoch runs the next epoch of f without Ingest's shortcuts: every
-// configured iteration in full, and every entity created and detected from
-// scratch.
+// configured iteration in full, every iteration's row pairs scored with a
+// fresh score cache, and every entity created and detected from scratch.
+// It also returns how many row-pair scores those caches computed.
 // f must be a throwaway fork; nothing is committed or written back.
-func fullEpoch(t *testing.T, f *Engine, batch []int) *Output {
+func fullEpoch(t *testing.T, f *Engine, batch []int) (*Output, int) {
 	t.Helper()
 	newIDs := f.newTableIDs(batch)
 	f.cur = f.epoch + 1
 	mc := match.NewContext(f.Cfg.KB, f.Cfg.Corpus)
 	mc.Class = f.Cfg.Class
 	var out *Output
+	scored := 0
 	for it := 0; it < f.Cfg.Iterations; it++ {
 		f.memo = nil
 		model, matchers, mctx := f.passInputs(mc, out)
@@ -97,12 +100,14 @@ func fullEpoch(t *testing.T, f *Engine, batch []int) *Output {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.finishIteration(t.Context(), it+1, next, newIDs); err != nil {
+		cache := cluster.NewScoreCache(f.phi)
+		if _, err := f.finishIteration(t.Context(), it+1, next, newIDs, cache); err != nil {
 			t.Fatal(err)
 		}
+		scored += cache.Scored()
 		out = next
 	}
-	return out
+	return out, scored
 }
 
 // TestEpochShortcutsMatchFullRecompute streams every seed scenario class
@@ -110,14 +115,18 @@ func fullEpoch(t *testing.T, f *Engine, batch []int) *Output {
 // published output to equal a reference epoch computed on a fork with
 // every iteration run in full and every entity created and detected from
 // scratch, so a memoized entity reused across write-backs is checked
-// against a fresh fuse. It also requires that both shortcuts fired: an
-// epoch ending at a mapping fixpoint, and a detection reused after a
-// write-back because its candidate list was unchanged.
+// against a fresh fuse, and the epoch's shared score cache against
+// from-scratch scoring. It also requires that every shortcut fired: an
+// epoch ending at a mapping fixpoint, a detection reused after a
+// write-back because its candidate list was unchanged, and a row-pair
+// score served to a later iteration than the one that computed it. Such
+// reuse shows as an epoch that ran every iteration yet computed fewer
+// scores than the reference's per-iteration caches.
 func TestEpochShortcutsMatchFullRecompute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams every scenario class twice; skipped in -short")
 	}
-	fixpoints, revalidated := 0, 0
+	fixpoints, revalidated, reusedScores := 0, 0, 0
 	// Matching scoring makes entity creation read the match scores, so the
 	// fixpoint must also compare them.
 	for _, scoring := range []fusion.ScoringMethod{fusion.Voting, fusion.Matching} {
@@ -132,27 +141,40 @@ func TestEpochShortcutsMatchFullRecompute(t *testing.T) {
 				batch := tids[lo:min(lo+4, len(tids))]
 				ref := eng.Fork()
 				ref.WriteBack = false
-				want := fullEpoch(t, ref, batch)
+				want, fullScored := fullEpoch(t, ref, batch)
 
+				scored := eng.scoredPairs
 				got, st, err := eng.Ingest(t.Context(), batch)
 				if err != nil {
 					t.Fatal(err)
 				}
+				scored = eng.scoredPairs - scored
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s (scoring %v) epoch %d: output differs from the full recompute", class, scoring, st.Epoch)
 				}
 				if st.Iterations < cfg.Iterations {
 					fixpoints++
+					continue
 				}
+				// Both ran every iteration over the same rows, so they
+				// needed the same scores, and the epoch cache computed
+				// each distinct one once.
+				if scored > fullScored || (scored == 0) != (fullScored == 0) {
+					t.Fatalf("%s (scoring %v) epoch %d: epoch cache computed %d scores, per-iteration caches %d", class, scoring, st.Epoch, scored, fullScored)
+				}
+				reusedScores += fullScored - scored
 			}
 			revalidated += eng.revalidated
 		}
 	}
-	t.Logf("fixpoint epochs %d, revalidated detections %d", fixpoints, revalidated)
+	t.Logf("fixpoint epochs %d, revalidated detections %d, reused row-pair scores %d", fixpoints, revalidated, reusedScores)
 	if fixpoints == 0 {
 		t.Error("no epoch stopped at a mapping fixpoint")
 	}
 	if revalidated == 0 {
 		t.Error("no detection was reused by candidate revalidation")
+	}
+	if reusedScores == 0 {
+		t.Error("the epoch score cache never served a later iteration")
 	}
 }

@@ -32,6 +32,44 @@ func DefaultThresholds() Thresholds {
 // [0, 1]. Values of incomparable kinds score 0. Comparing a Date against a
 // year-granularity Date compares only years.
 func (t Thresholds) Similarity(a, b Value) float64 {
+	return similarity(t, a, b, strsim.MongeElkanSymCached)
+}
+
+// Equal reports whether a and b are equal under the kind-specific
+// equivalence threshold.
+func (t Thresholds) Equal(a, b Value) bool {
+	return EqualWith(t, a, b, strsim.MongeElkanSymCached)
+}
+
+// EqualWith is t.Equal with textSim supplying the Monge-Elkan similarity of
+// two Text or InstanceReference value strings. It is the one kind-and-
+// threshold implementation behind Equal, for callers that memoize the
+// string similarity themselves (the row clusterer keeps one memo per
+// ingest epoch). textSim must return exactly strsim.MongeElkanSymCached's
+// value for the result to equal t.Equal(a, b).
+func EqualWith(t Thresholds, a, b Value, textSim func(a, b string) float64) bool {
+	s := similarity(t, a, b, textSim)
+	switch {
+	case a.Kind == NominalString || a.Kind == NominalInteger ||
+		b.Kind == NominalString || b.Kind == NominalInteger:
+		return s == 1
+	case a.Kind == Date && b.Kind == Date:
+		return s == 1
+	case a.Kind == Quantity && b.Kind == Quantity:
+		return s >= 1-t.QuantityTol
+	case a.Kind == InstanceReference || b.Kind == InstanceReference:
+		return s >= t.Ref
+	default:
+		return s >= t.Text
+	}
+}
+
+// similarity is Thresholds.Similarity with the text similarity supplied.
+// Value strings recur across rows and instances (the ATTRIBUTE and
+// IMPLICIT_ATT metrics compare the same fact values over and over), so
+// the default supplier goes through the prepared-label cache, which
+// tokenizes each distinct string once per process.
+func similarity(t Thresholds, a, b Value, textSim func(a, b string) float64) float64 {
 	ka, kb := a.Kind, b.Kind
 	if ka.Coarse() != kb.Coarse() && !(ka == Date && kb == Date) {
 		return 0
@@ -51,33 +89,8 @@ func (t Thresholds) Similarity(a, b Value) float64 {
 		return dateSim(a, b)
 	case ka == Quantity && kb == Quantity:
 		return quantitySim(a.Num, b.Num, t.QuantityTol)
-	case ka == InstanceReference || kb == InstanceReference:
-		// Value strings recur across rows and instances (the same fact
-		// values are compared over and over by the ATTRIBUTE and
-		// IMPLICIT_ATT metrics); the prepared-label cache tokenizes each
-		// distinct string once per process.
-		return strsim.MongeElkanSymCached(a.Str, b.Str)
-	default: // Text vs Text
-		return strsim.MongeElkanSymCached(a.Str, b.Str)
-	}
-}
-
-// Equal reports whether a and b are equal under the kind-specific
-// equivalence threshold.
-func (t Thresholds) Equal(a, b Value) bool {
-	s := t.Similarity(a, b)
-	switch {
-	case a.Kind == NominalString || a.Kind == NominalInteger ||
-		b.Kind == NominalString || b.Kind == NominalInteger:
-		return s == 1
-	case a.Kind == Date && b.Kind == Date:
-		return s == 1
-	case a.Kind == Quantity && b.Kind == Quantity:
-		return s >= 1-t.QuantityTol
-	case a.Kind == InstanceReference || b.Kind == InstanceReference:
-		return s >= t.Ref
-	default:
-		return s >= t.Text
+	default: // text-like strings
+		return textSim(a.Str, b.Str)
 	}
 }
 

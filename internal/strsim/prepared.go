@@ -110,20 +110,11 @@ func bothInterned(p, q *PreparedLabel) bool {
 	return (p.ids != nil || len(p.Tokens) == 0) && (q.ids != nil || len(q.Tokens) == 0)
 }
 
-// MongeElkan returns the directed Monge-Elkan similarity ME(p, q),
-// exactly equal to MongeElkan(p.Raw, q.Raw).
-func (p *PreparedLabel) MongeElkan(q *PreparedLabel) float64 {
-	if bothInterned(p, q) {
-		return mongeElkanIDs(p.ids, q.ids)
-	}
-	return mongeElkanStrs(p.Tokens, q.Tokens)
-}
-
 // MongeElkanSym returns the symmetrized Monge-Elkan similarity, exactly
 // equal to MongeElkanSym(p.Raw, q.Raw).
 func (p *PreparedLabel) MongeElkanSym(q *PreparedLabel) float64 {
 	if bothInterned(p, q) {
-		return (mongeElkanIDs(p.ids, q.ids) + mongeElkanIDs(q.ids, p.ids)) / 2
+		return mongeElkanSymIDs(p.ids, q.ids)
 	}
-	return (mongeElkanStrs(p.Tokens, q.Tokens) + mongeElkanStrs(q.Tokens, p.Tokens)) / 2
+	return mongeElkanSymStrs(p.Tokens, q.Tokens)
 }
