@@ -246,13 +246,20 @@ func LearnCombined(examples []Example, nMetrics int, seed int64) *Combined {
 		return c
 	}
 	idx := ml.Upsample(len(examples), seed, func(i int) bool { return examples[i].Match })
+	// Neither component score depends on alpha, so each example is scored
+	// once here rather than in every one of the GA's fitness evaluations.
+	waScore := make([]float64, len(examples))
+	rfScore := make([]float64, len(examples))
+	for i, ex := range examples {
+		waScore[i], rfScore[i] = wa.Score(ex.F), rf.Score(ex.F)
+	}
 	genes, _ := ml.Optimize(ml.GAConfig{Genes: 1, Seed: seed, Generations: 25, Population: 25},
 		func(g []float64) float64 {
 			alpha := g[0]
 			tp, fp, fn := 0, 0, 0
 			for _, i := range idx {
 				ex := examples[i]
-				s := alpha*wa.Score(ex.F) + (1-alpha)*rf.Score(ex.F)
+				s := alpha*waScore[i] + (1-alpha)*rfScore[i]
 				pred := s > 0
 				switch {
 				case pred && ex.Match:

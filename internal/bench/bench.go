@@ -115,7 +115,10 @@ func ClusterGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := cluster.ClusterCtx(b.Context(), f.rows, f.scorer, opts)
+		out, err := cluster.ClusterCtx(b.Context(), f.rows, f.scorer, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if out.NumClusters() == 0 {
 			b.Fatal("no clusters")
 		}

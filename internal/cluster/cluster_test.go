@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/agg"
@@ -129,6 +131,40 @@ func TestMetricPrefix(t *testing.T) {
 	}
 }
 
+// mustCluster runs ClusterCtx under the test's context and fails the test
+// on an error.
+func mustCluster(tb testing.TB, rows []*Row, scorer *Scorer, opts Options) *Clustering {
+	tb.Helper()
+	cl, err := ClusterCtx(tb.Context(), rows, scorer, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cl
+}
+
+// TestClusterCtxCancelled cancels a one-shot clustering mid-run: the torn
+// clustering must not escape, only the context's error.
+func TestClusterCtxCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	var calls atomic.Int32
+	s := &Scorer{
+		Metrics: []Metric{cancelMetric{calls: &calls, n: 3, cancel: cancel}},
+		Agg:     &agg.WeightedAverage{Weights: []float64{1}, Threshold: 0.5},
+	}
+	var rows []*Row
+	for i := 0; i < 20; i++ {
+		rows = append(rows, mkRow(i, 0, "Tom Brady", nil))
+	}
+	cl, err := ClusterCtx(ctx, rows, s, Options{Workers: 1, BatchSize: 4, Blocking: true, KLj: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ClusterCtx = %v, want context.Canceled", err)
+	}
+	if cl != nil {
+		t.Errorf("cancelled ClusterCtx returned a clustering of %d clusters", cl.NumClusters())
+	}
+}
+
 func TestGreedyClustersSameLabels(t *testing.T) {
 	rows := []*Row{
 		mkRow(0, 0, "Tom Brady", nil),
@@ -137,7 +173,7 @@ func TestGreedyClustersSameLabels(t *testing.T) {
 		mkRow(3, 0, "Tom Brady", nil),
 		mkRow(4, 0, "Jerry Rice", nil),
 	}
-	cl := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 1})
+	cl := mustCluster(t, rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 1})
 	if cl.NumClusters() != 2 {
 		t.Fatalf("clusters = %d, want 2", cl.NumClusters())
 	}
@@ -155,7 +191,7 @@ func TestGreedySingletons(t *testing.T) {
 		mkRow(1, 0, "Beta Two", nil),
 		mkRow(2, 0, "Gamma Three", nil),
 	}
-	cl := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 8})
+	cl := mustCluster(t, rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 8})
 	if cl.NumClusters() != 3 {
 		t.Errorf("distinct rows should form singletons: %d", cl.NumClusters())
 	}
@@ -168,11 +204,11 @@ func TestKLjRepairsBatchErrors(t *testing.T) {
 		mkRow(0, 0, "Tom Brady", nil),
 		mkRow(1, 0, "Tom Brady", nil),
 	}
-	noKLj := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 8})
+	noKLj := mustCluster(t, rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 8})
 	if noKLj.NumClusters() != 2 {
 		t.Fatalf("batched greedy should have split the pair, got %d clusters", noKLj.NumClusters())
 	}
-	withKLj := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: true, BatchSize: 8, MaxKLjRounds: 3})
+	withKLj := mustCluster(t, rows, labelScorer(), Options{Blocking: true, KLj: true, BatchSize: 8, MaxKLjRounds: 3})
 	if withKLj.NumClusters() != 1 {
 		t.Errorf("KLj should merge the duplicate singletons: %d clusters", withKLj.NumClusters())
 	}
@@ -205,8 +241,8 @@ func TestBlockingOffEquivalence(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		rows = append(rows, mkRow(i, 0, fmt.Sprintf("Entity %d", i%4), nil))
 	}
-	on := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: true, BatchSize: 1, MaxKLjRounds: 3})
-	off := Cluster(rows, labelScorer(), Options{Blocking: false, KLj: true, BatchSize: 1, MaxKLjRounds: 3})
+	on := mustCluster(t, rows, labelScorer(), Options{Blocking: true, KLj: true, BatchSize: 1, MaxKLjRounds: 3})
+	off := mustCluster(t, rows, labelScorer(), Options{Blocking: false, KLj: true, BatchSize: 1, MaxKLjRounds: 3})
 	if on.NumClusters() != off.NumClusters() {
 		t.Errorf("blocking changed the clustering: %d vs %d clusters",
 			on.NumClusters(), off.NumClusters())
@@ -219,7 +255,7 @@ func TestClusteringAssignConsistent(t *testing.T) {
 		mkRow(1, 0, "A B C", nil),
 		mkRow(2, 0, "X Y Z", nil),
 	}
-	cl := Cluster(rows, labelScorer(), NewOptions())
+	cl := mustCluster(t, rows, labelScorer(), NewOptions())
 	for id, members := range cl.Clusters {
 		for _, r := range members {
 			if cl.Assign[r.Ref] != id {
@@ -338,7 +374,7 @@ func BenchmarkClusterGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Cluster(rows, s, opts)
+		mustCluster(b, rows, s, opts)
 	}
 }
 
@@ -352,6 +388,6 @@ func BenchmarkClusterWithKLj(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Cluster(rows, s, opts)
+		mustCluster(b, rows, s, opts)
 	}
 }

@@ -57,24 +57,19 @@ type clusterState struct {
 	blocks map[string]bool
 }
 
-// Cluster partitions the rows so that rows describing the same instance
-// share a cluster. It is the context-free convenience form of ClusterCtx
-// for callers with nothing to cancel.
-func Cluster(rows []*Row, scorer *Scorer, opts Options) *Clustering {
-	//lteelint:ignore ctxflow ClusterCtx is the cancellable form; this wrapper exists for callers with no context
-	return ClusterCtx(context.Background(), rows, scorer, opts)
-}
-
 // ClusterCtx partitions the rows so that rows describing the same instance
 // share a cluster, honouring ctx's cancellation between batches. It runs
 // the parallelized greedy correlation clustering and, when enabled, the
 // KLj refinement. It is the one-shot form of the Incremental clusterer: a
 // single Add over a fresh Incremental produces exactly the same
+// clustering. A cancelled run returns the context's error and no
 // clustering.
-func ClusterCtx(ctx context.Context, rows []*Row, scorer *Scorer, opts Options) *Clustering {
+func ClusterCtx(ctx context.Context, rows []*Row, scorer *Scorer, opts Options) (*Clustering, error) {
 	inc := NewIncremental(scorer, opts)
-	inc.Add(ctx, rows, nil)
-	return inc.Result()
+	if err := inc.Add(ctx, rows, nil); err != nil {
+		return nil, err
+	}
+	return inc.Result(), nil
 }
 
 type clusterer struct {

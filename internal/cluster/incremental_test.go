@@ -30,20 +30,20 @@ func incTestRows() []*Row {
 
 // TestIncrementalOneShotEqualsCluster is the bit-for-bit equivalence the
 // engine refactor relies on: a single Add over a fresh Incremental must
-// reproduce Cluster exactly.
+// reproduce ClusterCtx exactly.
 func TestIncrementalOneShotEqualsCluster(t *testing.T) {
 	rows := incTestRows()
 	for _, klj := range []bool{true, false} {
 		opts := NewOptions()
 		opts.KLj = klj
 		opts.Workers = 1
-		want := Cluster(rows, labelScorer(), opts)
+		want := mustCluster(t, rows, labelScorer(), opts)
 
 		inc := NewIncremental(labelScorer(), opts)
 		inc.Add(context.Background(), rows, nil)
 		got := inc.Result()
 		if !reflect.DeepEqual(want.Assign, got.Assign) {
-			t.Errorf("klj=%v: one-shot incremental differs from Cluster", klj)
+			t.Errorf("klj=%v: one-shot incremental differs from ClusterCtx", klj)
 		}
 	}
 }
@@ -299,7 +299,7 @@ func TestIncrementalMultiBatchCloseToOneShot(t *testing.T) {
 	}
 	opts := NewOptions()
 	opts.Workers = 1
-	full := Cluster(rows, labelScorer(), opts)
+	full := mustCluster(t, rows, labelScorer(), opts)
 
 	inc := NewIncremental(labelScorer(), opts)
 	half := len(rows) / 2

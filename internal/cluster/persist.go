@@ -146,9 +146,6 @@ func (pm *PhiModel) Clone() *PhiModel {
 		}
 		nc.labelTables[l] = set
 	}
-	for id, ms := range pm.m.members {
-		nc.members[id] = append([]string(nil), ms...)
-	}
 	for x, ys := range pm.m.cooc {
 		m := make(map[string]int, len(ys))
 		for y, cnt := range ys {
@@ -156,7 +153,6 @@ func (pm *PhiModel) Clone() *PhiModel {
 		}
 		nc.cooc[x] = m
 	}
-	nc.coocStale = pm.m.coocStale
 	// Vectors are not copied: the clone's next finalize recomputes them at
 	// the same generation, and the rows refreshed at it stay valid.
 	nc.gen, nc.refreshGen = pm.m.gen, pm.m.refreshGen

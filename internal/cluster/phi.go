@@ -17,29 +17,17 @@ type phiModel struct {
 	tables map[int][]string
 	// labelTables maps label to the set of tables containing it.
 	labelTables map[string]map[int]bool
-	// members lists each table's distinct labels in first-seen order across
-	// all addTable calls — the append-only mirror of labelTables, used to
-	// extend cooc when a later call adds new labels to a table.
-	members map[int][]string
 	// cooc[x][y] counts the tables containing both x and y (symmetric; both
 	// directions stored so finalize can range one map per label).
-	cooc map[string]map[string]int
-	// coocStale is set when a table is re-added with different labels: the
-	// reference derivation then enumerates candidates from the new table
-	// contents while counting against the sticky labelTables sets, a
-	// combination the incremental counts cannot mirror. finalize falls back
-	// to finalizeReference until the next reset. The ingestion engine
-	// re-adds each table with identical labels per pipeline iteration, so
-	// the fast path holds there.
-	coocStale bool
-	nLabels   int
-	vectors   map[string]map[string]float64
+	cooc    map[string]map[string]int
+	nLabels int
+	vectors map[string]map[string]float64
 	// gen counts the addTable calls that changed the statistics. A re-add
-	// of a table with identical labels leaves it alone, so finalize, the
-	// Refresh of retained rows and every score cached against their
-	// vectors (ScoreCache) can tell "the statistics moved" from "the same
-	// batch was added again" (the engine re-builds its batch on every
-	// pipeline iteration of an epoch).
+	// of a known table leaves it alone, so finalize, the Refresh of
+	// retained rows and every score cached against their vectors
+	// (ScoreCache) can tell "the statistics moved" from "the same batch was
+	// added again" (the engine re-builds its batch on every pipeline
+	// iteration of an epoch).
 	gen uint64
 	// finalGen is the generation vectors were computed at; refreshGen the
 	// generation of the last PhiModel.Refresh.
@@ -50,21 +38,22 @@ func newPhiModel() *phiModel {
 	return &phiModel{
 		tables:      make(map[int][]string),
 		labelTables: make(map[string]map[int]bool),
-		members:     make(map[int][]string),
 		cooc:        make(map[string]map[string]int),
 	}
 }
 
+// addTable counts a table's row labels. Re-adding a known table ID is a
+// no-op: the caller must pass the same labels as the first time, as the
+// engine does when it re-builds a batch under a refined mapping (row labels
+// come from the label column, not from the mapping) and builds no table it
+// already ingested.
 func (p *phiModel) addTable(id int, labels []string) {
-	old, ok := p.tables[id]
-	if ok && equalLabels(old, labels) {
+	if _, ok := p.tables[id]; ok {
 		return // every label is already counted for this table
-	}
-	if ok {
-		p.coocStale = true
 	}
 	p.gen++
 	p.tables[id] = labels
+	var distinct []string
 	for _, l := range labels {
 		if p.labelTables[l] == nil {
 			p.labelTables[l] = make(map[int]bool)
@@ -74,13 +63,12 @@ func (p *phiModel) addTable(id int, labels []string) {
 		}
 		p.labelTables[l][id] = true
 		// First time l appears in this table: it now co-occurs with every
-		// label already in the table (including earlier labels of this same
-		// call, already appended to members).
-		for _, m := range p.members[id] {
+		// distinct label before it.
+		for _, m := range distinct {
 			p.bumpCooc(l, m)
 			p.bumpCooc(m, l)
 		}
-		p.members[id] = append(p.members[id], l)
+		distinct = append(distinct, l)
 	}
 }
 
@@ -91,18 +79,6 @@ func (p *phiModel) bumpCooc(x, y string) {
 	p.cooc[x][y]++
 }
 
-func equalLabels(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // finalize computes the per-label PHI vectors:
 //
 //	PHI(x,y) = (n·n_xy − n_x·n_y) / sqrt(n_x·n_y·(n−n_x)·(n−n_y))
@@ -110,11 +86,10 @@ func equalLabels(a, b []string) bool {
 // where n is the total number of unique labels, n_xy the co-occurrence of x
 // and y in the same table, and n_x the occurrence of label x in a table.
 //
-// The fast path reads the incrementally maintained pair counts; it is
-// float-identical to finalizeReference (both accumulate n_xy as unit
-// increments, and the PHI expression is evaluated in the same shape) with
-// the same candidate sets whenever tables are only added or re-added with
-// identical labels.
+// It reads the incrementally maintained pair counts and is float-identical
+// to finalizeReference: both accumulate n_xy as unit increments, evaluate
+// the PHI expression in the same shape and see the same candidate sets,
+// since a table's labels never change once added.
 //
 // It does nothing when the statistics have not changed since the vectors
 // were last computed.
@@ -123,10 +98,6 @@ func (p *phiModel) finalize() {
 		return
 	}
 	p.finalGen = p.gen
-	if p.coocStale {
-		p.finalizeReference()
-		return
-	}
 	p.nLabels = len(p.labelTables)
 	// Labels are append-only, so the vector maps of the previous finalize
 	// can be cleared and refilled in place: re-finalizing over a grown
@@ -165,9 +136,8 @@ func (p *phiModel) finalize() {
 }
 
 // finalizeReference derives every co-occurrence count from the table sets
-// on each call. It is the executable specification the incremental fast
-// path is tested against, and the fallback when a table re-add changed its
-// labels (see coocStale).
+// on each call. It is the executable specification finalize is tested
+// against.
 func (p *phiModel) finalizeReference() {
 	p.nLabels = len(p.labelTables)
 	p.vectors = make(map[string]map[string]float64, p.nLabels)

@@ -56,8 +56,8 @@ type Engine struct {
 	detector *newdet.Detector
 
 	// mu guards the published state read by concurrent accessors (epoch,
-	// tableIDs, last, history) and the cross-epoch in-place refresh of
-	// retained rows' PHI vectors. Ingest itself stays single-writer.
+	// last, history) and the cross-epoch in-place refresh of retained rows'
+	// PHI vectors. Ingest itself stays single-writer.
 	mu sync.RWMutex
 	// epoch counts *completed* epochs; it is published together with last
 	// and history in one critical section at the end of Ingest, so a
@@ -67,10 +67,6 @@ type Engine struct {
 	cur      int
 	history  []IngestStats
 	ingested map[int]bool
-	tableIDs []int
-	mapping  map[int]map[int]kb.PropertyID
-	scores   map[fusion.ColKey]float64
-	rows     []*cluster.Row
 	clusters *cluster.Incremental
 	// blocks persists the blocking label index across epochs: a batch's
 	// rows block against every label seen so far, so a fuzzy variant of an
@@ -79,7 +75,10 @@ type Engine struct {
 	// phi persists the PHI statistics across epochs; after each batch
 	// extends them, the retained rows' vectors are refreshed so every
 	// cross-epoch pair score compares vectors from one model.
-	phi  *cluster.PhiModel
+	phi *cluster.PhiModel
+	// last is the most recent epoch's output (nil before the first), and
+	// the one record of the retained state the next epoch extends: its
+	// table IDs, mapping, match scores and prepared rows.
 	last *Output
 	// written maps an entity signature (class + normalized primary label)
 	// to the instance written back for it, preventing duplicate write-backs
@@ -177,8 +176,6 @@ func NewEngine(cfg Config, models Models) *Engine {
 		scorer:    scorer,
 		detector:  detector,
 		ingested:  make(map[int]bool),
-		mapping:   make(map[int]map[int]kb.PropertyID),
-		scores:    make(map[fusion.ColKey]float64),
 		clusters:  cluster.NewIncremental(scorer, cfg.ClusterOpts),
 		blocks:    cluster.NewBlockIndex(),
 		phi:       cluster.NewPhiModel(),
@@ -215,9 +212,7 @@ func (e *Engine) IngestedIDs() []int {
 func (e *Engine) TableIDs() []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]int, len(e.tableIDs))
-	copy(out, e.tableIDs)
-	return out
+	return append([]int{}, e.retained().TableIDs...)
 }
 
 // History returns a copy of the IngestStats of every completed epoch in
@@ -235,9 +230,16 @@ func (e *Engine) History() []IngestStats {
 func (e *Engine) Published() (epoch int, tableIDs []int, history []IngestStats) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	tableIDs = make([]int, len(e.tableIDs))
-	copy(tableIDs, e.tableIDs)
-	return e.epoch, tableIDs, append([]IngestStats(nil), e.history...)
+	return e.epoch, append([]int{}, e.retained().TableIDs...), append([]IngestStats(nil), e.history...)
+}
+
+// retained returns the output the next epoch extends: the last epoch's, or
+// an empty one before the first.
+func (e *Engine) retained() *Output {
+	if e.last == nil {
+		return &Output{}
+	}
+	return e.last
 }
 
 // Last returns the output of the most recent Ingest (nil before the
@@ -394,13 +396,14 @@ func (e *Engine) Resume(epoch int, tableIDs []int) error {
 }
 
 // Fork returns an independent copy of the engine: Ingest on the fork never
-// affects the original's state. The knowledge base, corpus, models, caches
-// and retained Row objects are shared — fork with WriteBack disabled
-// unless the forked ingest should really grow the shared KB, and do not
-// run Ingest on a fork concurrently with Ingest OR the accessors of the
-// original (and vice versa): the shared Row objects are guarded by each
-// engine's own lock, so the concurrent-accessor guarantee holds only
-// within one engine, not across the fork boundary.
+// affects the original's state. The knowledge base, corpus, models, caches,
+// the last output (which an epoch reads but never writes) and its retained
+// Row objects are shared — fork with WriteBack disabled unless the forked
+// ingest should really grow the shared KB, and do not run Ingest on a fork
+// concurrently with Ingest OR the accessors of the original (and vice
+// versa): the shared Row objects are guarded by each engine's own lock, so
+// the concurrent-accessor guarantee holds only within one engine, not
+// across the fork boundary.
 func (e *Engine) Fork() *Engine {
 	e.mu.RLock()
 	f := &Engine{
@@ -419,18 +422,6 @@ func (e *Engine) Fork() *Engine {
 	for tid := range e.ingested {
 		f.ingested[tid] = true
 	}
-	f.tableIDs = append([]int(nil), e.tableIDs...)
-	// Per-table maps and score entries are immutable once merged, so a
-	// shallow copy of the outer maps suffices.
-	f.mapping = make(map[int]map[int]kb.PropertyID, len(e.mapping))
-	for tid, m := range e.mapping {
-		f.mapping[tid] = m
-	}
-	f.scores = make(map[fusion.ColKey]float64, len(e.scores))
-	for k, v := range e.scores {
-		f.scores[k] = v
-	}
-	f.rows = append([]*cluster.Row(nil), e.rows...)
 	f.clusters = e.clusters.Clone()
 	f.blocks = e.blocks.Clone()
 	f.phi = e.phi.Clone()
@@ -487,9 +478,9 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 	newIDs := e.newTableIDs(batch)
 	e.cur = e.epoch + 1
 
-	// A fresh matching context per epoch: the KB may have grown since the
-	// previous batch (write-back), and the context's profiles key their
-	// validity on the KB version.
+	// A fresh matching context per epoch: the context's property profiles
+	// are built once, and the class may have grown by the previous epoch's
+	// write-back.
 	mc := match.NewContext(e.Cfg.KB, e.Cfg.Corpus)
 	mc.Class = e.Cfg.Class
 
@@ -529,12 +520,9 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 	}
 
 	// Persist the grown state of the final iteration. The published fields
-	// (tableIDs, last, history) are swapped under the write lock so the
+	// (epoch, last, history) are swapped under the write lock so the
 	// concurrent accessors never see a half-updated epoch.
 	e.clusters = grown
-	e.rows = out.Rows
-	e.mapping = out.Mapping
-	e.scores = out.MatchScores
 	for _, tid := range newIDs {
 		e.ingested[tid] = true
 	}
@@ -561,7 +549,6 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 	}
 	e.mu.Lock()
 	e.epoch = e.cur
-	e.tableIDs = out.TableIDs
 	e.last = out
 	e.history = append(e.history, stats)
 	e.mu.Unlock()
@@ -597,22 +584,19 @@ func (e *Engine) passInputs(mc *match.Context, prev *Output) (*match.Model, []ma
 // Cancellation mid-pass abandons it before anything is committed; see
 // Ingest for the consistency argument.
 func (e *Engine) matchBatch(ctx context.Context, it int, mctx *match.Context, model *match.Model, matchers []match.Matcher, newIDs []int) (*Output, error) {
-	allIDs := sortedTableIDs(append(append([]int(nil), e.tableIDs...), newIDs...))
+	prev := e.retained()
+	allIDs := sortedTableIDs(append(append([]int(nil), prev.TableIDs...), newIDs...))
 	out := &Output{
 		Class:       e.Cfg.Class,
 		TableIDs:    allIDs,
-		Mapping:     make(map[int]map[int]kb.PropertyID, len(e.mapping)+len(newIDs)),
-		MatchScores: make(map[fusion.ColKey]float64, len(e.scores)),
+		Mapping:     make(map[int]map[int]kb.PropertyID, len(prev.Mapping)+len(newIDs)),
+		MatchScores: make(map[fusion.ColKey]float64, len(prev.MatchScores)),
 		RowInstance: make(map[webtable.RowRef]kb.InstanceID),
 	}
 	// Retained tables keep the mapping and scores of their own final
 	// iteration; only the batch's tables are (re-)matched.
-	for tid, m := range e.mapping {
-		out.Mapping[tid] = m
-	}
-	for key, s := range e.scores {
-		out.MatchScores[key] = s
-	}
+	maps.Copy(out.Mapping, prev.Mapping)
+	maps.Copy(out.MatchScores, prev.MatchScores)
 
 	// Schema matching: attribute-to-property correspondences per new table,
 	// fanned out over the worker pool. Every worker writes only its own
@@ -693,13 +677,11 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 	// The refresh rewrites retained rows' TableVec in place; concurrent
 	// Last() snapshots read those fields under the read lock, so the
 	// mutation takes the write lock.
+	prevRows := e.retained().Rows
 	e.mu.Lock()
-	e.phi.Refresh(e.rows)
+	e.phi.Refresh(prevRows)
 	e.mu.Unlock()
-	allRows := make([]*cluster.Row, 0, len(e.rows)+len(newRows))
-	allRows = append(allRows, e.rows...)
-	allRows = append(allRows, newRows...)
-	out.Rows = allRows
+	out.Rows = slices.Concat(prevRows, newRows)
 
 	// Incremental clustering: grow a clone of the retained state with the
 	// batch's rows (the clone keeps the persistent baseline intact while

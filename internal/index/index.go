@@ -12,6 +12,7 @@ package index
 
 import (
 	"cmp"
+	"context"
 	"maps"
 	"slices"
 	"sort"
@@ -170,8 +171,13 @@ func (ix *Index) AddBatch(entries []Entry, workers int) {
 		return
 	}
 
+	// Phases 2 and 3 fan out over the worker pool; nothing cancels them, so
+	// neither can return an error.
+	//lteelint:ignore ctxflow AddBatch is reached from the context-free kb.AddInstances; the build is bounded by the batch
+	ctx := context.Background()
+
 	// Phase 2: per-token deletion variants, computed in parallel (pure).
-	variants := par.Map(workers, newTokens, func(_ int, t string) []string {
+	variants, _ := par.MapCtx(ctx, workers, newTokens, func(_ int, t string) []string {
 		return appendDeletionVariants(make([]string, 0, len(t)+1), t)
 	})
 
@@ -185,7 +191,7 @@ func (ix *Index) AddBatch(entries []Entry, workers int) {
 			g.ts = append(g.ts, newTokens[i])
 		}
 	}
-	par.ForEach(workers, delShardCount, func(s int) {
+	_ = par.ForEachCtx(ctx, workers, delShardCount, func(s int) {
 		g := &groups[s]
 		if len(g.vs) == 0 {
 			return

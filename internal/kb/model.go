@@ -337,13 +337,7 @@ func (kb *KB) Schema(id ClassID) []Property {
 // backing instance.
 func (kb *KB) AddInstance(in *Instance) InstanceID {
 	kb.mu.Lock()
-	in.ID = InstanceID(len(kb.locs))
-	st := kb.storeFor(in.Class)
-	row := st.add(in, kb.strs)
-	kb.locs = append(kb.locs, instLoc{store: kb.storeOf[in.Class], row: row})
-	if in.Provenance == ProvenanceIngest {
-		kb.ingested = append(kb.ingested, in.ID)
-	}
+	kb.storeLocked(in)
 	kb.mu.Unlock()
 
 	for _, l := range in.Labels {
@@ -365,14 +359,7 @@ func (kb *KB) AddInstances(ins []*Instance) []InstanceID {
 	kb.mu.Lock()
 	ids := make([]InstanceID, len(ins))
 	for i, in := range ins {
-		in.ID = InstanceID(len(kb.locs))
-		ids[i] = in.ID
-		st := kb.storeFor(in.Class)
-		row := st.add(in, kb.strs)
-		kb.locs = append(kb.locs, instLoc{store: kb.storeOf[in.Class], row: row})
-		if in.Provenance == ProvenanceIngest {
-			kb.ingested = append(kb.ingested, in.ID)
-		}
+		ids[i] = kb.storeLocked(in)
 	}
 	kb.mu.Unlock()
 
@@ -385,6 +372,19 @@ func (kb *KB) AddInstances(ins []*Instance) []InstanceID {
 	kb.globalIx.AddBatch(entries, par.DefaultWorkers())
 	kb.version.Add(1)
 	return ids
+}
+
+// storeLocked assigns in the next ID and stores it in its class's columnar
+// store, without indexing its labels. Caller holds the write lock.
+func (kb *KB) storeLocked(in *Instance) InstanceID {
+	in.ID = InstanceID(len(kb.locs))
+	st := kb.storeFor(in.Class)
+	row := st.add(in, kb.strs)
+	kb.locs = append(kb.locs, instLoc{store: kb.storeOf[in.Class], row: row})
+	if in.Provenance == ProvenanceIngest {
+		kb.ingested = append(kb.ingested, in.ID)
+	}
+	return in.ID
 }
 
 // Instance returns a materialized view of the instance with the given

@@ -185,7 +185,7 @@ func (kb *KB) SaveSnapshot(dir string, meta Manifest) (Manifest, error) {
 	}
 	if delta := ingested[persisted:]; len(delta) > 0 {
 		name := fmt.Sprintf(segmentPattern, next)
-		if err := atomicWrite(filepath.Join(dir, name), func(f *os.File) error {
+		if err := AtomicWriteFile(filepath.Join(dir, name), func(f *os.File) error {
 			return kb.writeInstancesByID(f, delta)
 		}); err != nil {
 			return Manifest{}, err
@@ -218,7 +218,7 @@ func writeManifest(dir string, m Manifest) error {
 		return fmt.Errorf("kb: encoding manifest: %w", err)
 	}
 	raw = append(raw, '\n')
-	return atomicWrite(filepath.Join(dir, snapshotManifestFile), func(f *os.File) error {
+	return AtomicWriteFile(filepath.Join(dir, snapshotManifestFile), func(f *os.File) error {
 		_, werr := f.Write(raw)
 		return werr
 	})
@@ -226,7 +226,7 @@ func writeManifest(dir string, m Manifest) error {
 
 // removeUnreferenced deletes instance files in dir that the committed
 // manifest does not list — segments a crashed or superseded save left
-// behind, and stale atomicWrite temporaries. Best effort: a file that
+// behind, and stale AtomicWriteFile temporaries. Best effort: a file that
 // cannot be removed is retried by the next save or compaction, and never
 // corrupts the snapshot.
 func removeUnreferenced(dir string, m Manifest) {
@@ -251,9 +251,12 @@ func removeUnreferenced(dir string, m Manifest) {
 	}
 }
 
-// atomicWrite writes path via a temporary sibling file and a rename, with
-// an fsync before the rename so the content is durable when the name is.
-func atomicWrite(path string, fill func(*os.File) error) error {
+// AtomicWriteFile writes path via a temporary sibling file and a rename,
+// with an fsync before the rename so the content is durable when the name
+// is, and one on the directory after it so the name is durable too. It is
+// the one commit helper of every durable file: the snapshot segments and
+// manifest here, and the serve layer's job journal compaction.
+func AtomicWriteFile(path string, fill func(*os.File) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("kb: creating temp file for %s: %w", path, err)
@@ -382,7 +385,7 @@ func CompactSnapshot(dir string) (Manifest, error) {
 			merged.LastEpoch = seg.LastEpoch
 		}
 	}
-	if err := atomicWrite(filepath.Join(dir, merged.File), func(f *os.File) error {
+	if err := AtomicWriteFile(filepath.Join(dir, merged.File), func(f *os.File) error {
 		lines := 0
 		w := bufio.NewWriter(f)
 		for _, seg := range chain {

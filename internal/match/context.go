@@ -6,6 +6,7 @@
 package match
 
 import (
+	"maps"
 	"sync"
 
 	"repro/internal/dtype"
@@ -53,15 +54,15 @@ type Context struct {
 // three are built under mu; readers take the shared lock so cache hits on
 // the matching hot path do not serialize the worker pool.
 //
-// The KB property profiles depend on the KB's instances, which may grow
-// between ingest epochs (the engine writes new entities back). kbVersion
-// records the kb.Version the profiles were built at; a version mismatch
-// drops them so they are rebuilt over the grown KB. The KB must not grow
-// while a matching pass is in flight — the engine only writes back after
-// its iterations complete, so invalidation happens between passes.
+// A property profile is built once per context and never invalidated. That
+// is exact because a context lives for one ingest epoch or one training
+// run, KB-Overlap profiles only the context's own class, a profile reads
+// only that exact class's facts, and a class grows only by its own engine's
+// write-back, which runs after the epoch's passes are done. Another class's
+// write-back during the epoch cannot change the profile; a later epoch
+// builds a fresh context and so sees the grown class.
 type ctxCaches struct {
 	mu         sync.RWMutex
-	kbVersion  uint64
 	kbProfiles map[kb.ClassID]map[kb.PropertyID]*propProfile
 	wtLabels   map[kb.PropertyID]map[string]float64
 	wtDone     bool
@@ -109,30 +110,24 @@ func (c *Context) WithIteration(
 	out.RowCluster = rowCluster
 	out.Prelim = prelim
 	// Fresh caches for the parts that depend on iteration outputs (label
-	// statistics, cluster value pool); the KB property profiles depend
-	// only on the immutable KB and carry over. They are copied into the
-	// new cache struct rather than aliased, so each context's mutex
-	// guards its own maps.
+	// statistics, cluster value pool); the KB property profiles do not and
+	// carry over. They are copied into the new cache struct rather than
+	// aliased, so each context's mutex guards its own maps.
 	out.caches = c.caches.deriveWithProfiles()
 	return &out
 }
 
 // deriveWithProfiles returns a fresh cache struct seeded with a copy of
 // the already-built KB property profiles (the profiles themselves are
-// immutable once built and safe to share). The recorded KB version carries
-// over, so a stale profile set is still dropped on first use.
+// immutable once built and safe to share).
 func (cc *ctxCaches) deriveWithProfiles() *ctxCaches {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	nc := &ctxCaches{kbVersion: cc.kbVersion}
+	nc := &ctxCaches{}
 	if cc.kbProfiles != nil {
 		nc.kbProfiles = make(map[kb.ClassID]map[kb.PropertyID]*propProfile, len(cc.kbProfiles))
 		for class, byProp := range cc.kbProfiles {
-			m := make(map[kb.PropertyID]*propProfile, len(byProp))
-			for pid, p := range byProp {
-				m[pid] = p
-			}
-			nc.kbProfiles[class] = m
+			nc.kbProfiles[class] = maps.Clone(byProp)
 		}
 	}
 	return nc

@@ -49,25 +49,15 @@ type propProfile struct {
 
 func (c *Context) profile(class kb.ClassID, pid kb.PropertyID) *propProfile {
 	cc := c.caches
-	ver := c.KB.Version()
-	// Fast path: cache hit under the shared lock, valid only while the KB
-	// has not grown since the profiles were built.
+	// Fast path: cache hit under the shared lock.
 	cc.mu.RLock()
-	if cc.kbVersion == ver {
-		if p, ok := cc.kbProfiles[class][pid]; ok {
-			cc.mu.RUnlock()
-			return p
-		}
+	if p, ok := cc.kbProfiles[class][pid]; ok {
+		cc.mu.RUnlock()
+		return p
 	}
 	cc.mu.RUnlock()
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.kbVersion != ver {
-		// The KB grew (engine write-back between epochs): every profile is
-		// stale, drop them all and rebuild against the current instances.
-		cc.kbProfiles = nil
-		cc.kbVersion = ver
-	}
 	if cc.kbProfiles == nil {
 		cc.kbProfiles = make(map[kb.ClassID]map[kb.PropertyID]*propProfile)
 	}

@@ -2,17 +2,18 @@
 // primitives used across the pipeline (internal/core), the clusterer
 // (internal/cluster) and the evaluation harness (internal/report).
 //
-// The pool primitives (ForEach, Map) fan work out over a fixed number of
-// workers and leave result placement to the caller by index, so a parallel
-// run reduces to exactly the same output as the serial one. Workers <= 1
-// always takes a plain serial loop with no goroutines, which keeps the
-// serial path trivially debuggable and byte-identical by construction.
+// The pool primitives (ForEachCtx, MapCtx) fan work out over a fixed number
+// of workers and leave result placement to the caller by index, so a
+// parallel run reduces to exactly the same output as the serial one.
+// Workers <= 1 always takes a plain serial loop with no goroutines, which
+// keeps the serial path trivially debuggable and byte-identical by
+// construction.
 //
-// The Ctx variants (ForEachCtx, MapCtx) add cooperative cancellation:
-// workers stop claiming new indexes once the context is cancelled, so a
-// fan-out over heavyweight items (tables, entities) unwinds within one
-// item's worth of work. They are the checkpoint substrate behind the
-// public API's context threading (ltee.Engine.Ingest and friends).
+// Both take a context for cooperative cancellation: workers stop claiming
+// new indexes once the context is cancelled, so a fan-out over heavyweight
+// items (tables, entities) unwinds within one item's worth of work. They
+// are the checkpoint substrate behind the public API's context threading
+// (ltee.Engine.Ingest and friends).
 package par
 
 import (
@@ -34,25 +35,20 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach invokes fn(i) for every i in [0, n), distributing the calls over
-// at most workers goroutines, and returns when all calls have finished.
-// With workers <= 1 (or n <= 1) the calls run serially, in index order, on
-// the calling goroutine.
+// ForEachCtx invokes fn(i) for every i in [0, n), distributing the calls
+// over at most workers goroutines, and returns when all calls have
+// finished. With workers <= 1 (or n <= 1) the calls run serially, in index
+// order, on the calling goroutine.
 //
 // fn must confine its writes to index-distinct locations (slot i of a
 // results slice); the caller then reduces the slots in index order, making
 // the parallel and serial paths produce identical output.
-func ForEach(workers, n int, fn func(i int)) {
-	//lteelint:ignore ctxflow ForEachCtx is the cancellable form; this wrapper exists for callers with no context
-	ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: every worker checks
-// the context before claiming the next index and stops claiming once it is
-// cancelled. Indexes already claimed run to completion (fn is never
-// interrupted mid-call), so the caller's per-slot writes stay well-formed;
-// the slots of unclaimed indexes keep their zero values and the caller must
-// discard the whole result set when an error is returned.
+//
+// Every worker checks the context before claiming the next index and stops
+// claiming once it is cancelled. Indexes already claimed run to completion
+// (fn is never interrupted mid-call), so the caller's per-slot writes stay
+// well-formed; the slots of unclaimed indexes keep their zero values and
+// the caller must discard the whole result set when an error is returned.
 //
 // The returned error is nil when all n calls ran, ctx.Err() otherwise. A
 // context that can never be cancelled (ctx.Done() == nil, e.g.
@@ -114,17 +110,11 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// Map applies fn to every element of items on a pool of at most workers
-// goroutines and returns the results in input order.
-func Map[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
-	//lteelint:ignore ctxflow MapCtx is the cancellable form; this wrapper exists for callers with no context
-	out, _ := MapCtx(context.Background(), workers, items, fn)
-	return out
-}
-
-// MapCtx is Map with cooperative cancellation (see ForEachCtx). On a
-// non-nil error the returned slice is partial — slots whose index was never
-// claimed hold zero values — and must be discarded.
+// MapCtx applies fn to every element of items on a pool of at most workers
+// goroutines and returns the results in input order, with cooperative
+// cancellation (see ForEachCtx). On a non-nil error the returned slice is
+// partial — slots whose index was never claimed hold zero values — and
+// must be discarded.
 func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int, item T) R) ([]R, error) {
 	out := make([]R, len(items))
 	err := ForEachCtx(ctx, workers, len(items), func(i int) {

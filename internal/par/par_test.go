@@ -13,9 +13,11 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		n := 100
 		hits := make([]int32, n)
-		ForEach(workers, n, func(i int) {
+		if err := ForEachCtx(t.Context(), workers, n, func(i int) {
 			atomic.AddInt32(&hits[i], 1)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
@@ -26,8 +28,11 @@ func TestForEachCoversAllIndices(t *testing.T) {
 
 func TestForEachEmpty(t *testing.T) {
 	called := false
-	ForEach(4, 0, func(int) { called = true })
-	ForEach(4, -1, func(int) { called = true })
+	for _, n := range []int{0, -1} {
+		if err := ForEachCtx(t.Context(), 4, n, func(int) { called = true }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if called {
 		t.Error("fn called for empty range")
 	}
@@ -35,7 +40,9 @@ func TestForEachEmpty(t *testing.T) {
 
 func TestForEachSerialOrder(t *testing.T) {
 	var got []int
-	ForEach(1, 5, func(i int) { got = append(got, i) })
+	if err := ForEachCtx(t.Context(), 1, 5, func(i int) { got = append(got, i) }); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("serial order broken: %v", got)
@@ -46,7 +53,10 @@ func TestForEachSerialOrder(t *testing.T) {
 func TestMapPreservesOrder(t *testing.T) {
 	in := []int{5, 3, 9, 1, 7, 2}
 	for _, workers := range []int{1, 4} {
-		out := Map(workers, in, func(i, v int) int { return v * v })
+		out, err := MapCtx(t.Context(), workers, in, func(i, v int) int { return v * v })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range out {
 			if v != in[i]*in[i] {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
@@ -107,18 +117,21 @@ func TestForEachCtxCompletesDespiteLateCancel(t *testing.T) {
 	}
 }
 
+// TestMapCtxMatchesMap holds a parallel MapCtx to a plain serial map of
+// the same items.
 func TestMapCtxMatchesMap(t *testing.T) {
 	items := make([]int, 500)
+	want := make([]int, len(items))
 	for i := range items {
 		items[i] = i
+		want[i] = i * i
 	}
-	want := Map(4, items, func(_, v int) int { return v * v })
 	got, err := MapCtx(context.Background(), 4, items, func(_, v int) int { return v * v })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("MapCtx diverged from Map")
+		t.Error("MapCtx diverged from a serial map")
 	}
 }
 

@@ -41,7 +41,10 @@ func (s *Suite) Table7Data(ctx context.Context) ([]Table7Row, error) {
 		for _, f := range folds {
 			for n := 1; n <= nMetrics; n++ {
 				scorer, combined := cluster.LearnScorer(cluster.MetricPrefix(n), f.pairs, s.Seed)
-				cs := s.evaluateClustering(ctx, f, scorer)
+				cs, err := s.evaluateClustering(ctx, f, scorer)
+				if err != nil {
+					return nil, err
+				}
 				pcp[n-1] = append(pcp[n-1], cs.PCP)
 				ar[n-1] = append(ar[n-1], cs.AR)
 				f1[n-1] = append(f1[n-1], cs.F1)
@@ -151,13 +154,16 @@ func (s *Suite) clusteringFolds(ctx context.Context, class kb.ClassID) ([]cluste
 
 // evaluateClustering clusters a fold's test rows with scorer and scores the
 // result against the fold's gold clustering.
-func (s *Suite) evaluateClustering(ctx context.Context, f clusteringFold, scorer *cluster.Scorer) eval.ClusterScores {
-	cl := cluster.ClusterCtx(ctx, f.testRows, scorer, s.clusterOptions())
+func (s *Suite) evaluateClustering(ctx context.Context, f clusteringFold, scorer *cluster.Scorer) (eval.ClusterScores, error) {
+	cl, err := cluster.ClusterCtx(ctx, f.testRows, scorer, s.clusterOptions())
+	if err != nil {
+		return eval.ClusterScores{}, err
+	}
 	produced := make([][]webtable.RowRef, len(cl.Clusters))
 	for i, members := range cl.Clusters {
 		produced[i] = rowRefs(members)
 	}
-	return eval.EvaluateClustering(f.goldRows, produced)
+	return eval.EvaluateClustering(f.goldRows, produced), nil
 }
 
 func averageVectors(vs [][]float64, n int) []float64 {
@@ -202,7 +208,11 @@ func (s *Suite) AblationAggregation(ctx context.Context) (*TextTable, error) {
 				scorers[1] = &cluster.Scorer{Metrics: metrics, Agg: combined.RF}
 			}
 			for v, scorer := range scorers {
-				f1s[v] = append(f1s[v], s.evaluateClustering(ctx, f, scorer).F1)
+				cs, err := s.evaluateClustering(ctx, f, scorer)
+				if err != nil {
+					return nil, err
+				}
+				f1s[v] = append(f1s[v], cs.F1)
 			}
 		}
 	}

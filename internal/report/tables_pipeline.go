@@ -254,7 +254,10 @@ func (s *Suite) runFold(ctx context.Context, class kb.ClassID, folds [][]int, fo
 		KB: s.World.KB, Corpus: s.Corpus, Class: class,
 		Mapping: fr.mapping, Thresholds: dtype.DefaultThresholds(),
 	}
-	cl := cluster.ClusterCtx(ctx, testRows, models.ClusterScorer, s.clusterOptions())
+	cl, err := cluster.ClusterCtx(ctx, testRows, models.ClusterScorer, s.clusterOptions())
+	if err != nil {
+		return nil, err
+	}
 	fr.allEntities = fusion.CreateAll(src, cl)
 	fr.allDetect = make([]newdet.Result, len(fr.allEntities))
 	for i, e := range fr.allEntities {

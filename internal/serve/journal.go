@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/kb"
 )
 
 // The job journal makes the scheduler's job records durable: every job is
@@ -18,9 +20,10 @@ import (
 // history, and jobs that were still queued or running when the process
 // died come back as "interrupted", carrying their full inputs so the
 // operator can resubmit them. Replay then compacts the journal to one
-// merged record per retained job via the kb temp-file+rename+fsync
-// discipline, so the file never grows beyond the retained set plus the
-// transitions appended since the last compaction.
+// merged record per retained job, committed through kb.AtomicWriteFile
+// (temp file, fsync, rename, directory fsync), so the file never grows
+// beyond the retained set plus the transitions appended since the last
+// compaction.
 const journalFile = "jobs.ndjson"
 
 // journalFault, when non-nil, is called before each journal append with
@@ -58,10 +61,6 @@ type jobRecord struct {
 type jobJournal struct {
 	path string
 	f    *os.File
-	// appendedSinceCompact counts records appended since the file was
-	// last compacted; the scheduler compacts once enough evicted or
-	// superseded records have accumulated.
-	appendedSinceCompact int
 }
 
 // openJobJournal opens (creating if needed) the journal in dir for
@@ -114,7 +113,6 @@ func (jl *jobJournal) append(rec jobRecord) error {
 	if err := jl.f.Sync(); err != nil {
 		return fmt.Errorf("serve: syncing job journal: %w", err)
 	}
-	jl.appendedSinceCompact++
 	return nil
 }
 
@@ -124,7 +122,7 @@ func (jl *jobJournal) append(rec jobRecord) error {
 // append handle on the new file.
 func (jl *jobJournal) compact(recs []jobRecord) error {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	if err := atomicWriteFile(jl.path, func(f *os.File) error {
+	if err := kb.AtomicWriteFile(jl.path, func(f *os.File) error {
 		w := bufio.NewWriter(f)
 		for i := range recs {
 			raw, err := json.Marshal(&recs[i])
@@ -148,7 +146,6 @@ func (jl *jobJournal) compact(recs []jobRecord) error {
 		return fmt.Errorf("serve: reopening job journal: %w", err)
 	}
 	jl.f = f
-	jl.appendedSinceCompact = 0
 	return nil
 }
 
@@ -236,35 +233,4 @@ func replayJobJournal(dir string) ([]jobRecord, int64, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, maxID, nil
-}
-
-// atomicWriteFile writes path via a temporary sibling and a rename, with
-// an fsync before the rename and one on the directory after it — the same
-// commit discipline as the kb snapshot segments.
-func atomicWriteFile(path string, fill func(*os.File) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := fill(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
 }

@@ -168,7 +168,9 @@ func (s *Server) enqueue(j *job) (*job, error) {
 	j.status = statusQueued
 	s.jobs[j.id] = j
 	s.active++
-	if err := s.journalAppendLocked(s.queuedRecord(j)); err != nil {
+	rec := recordOf(j)
+	rec.Unix = s.now().Unix() // a queued record carries its enqueue time
+	if err := s.journalAppendLocked(rec); err != nil {
 		// The job could not be made durable; refuse it rather than run
 		// work a restart would not know about. The journal tail may be
 		// torn, so rewrite it — after unregistering, so the refused job
@@ -393,41 +395,32 @@ func (s *Server) repairJournalLocked() {
 	}
 }
 
-// queuedRecord renders a job's full enqueue-time record.
-func (s *Server) queuedRecord(j *job) jobRecord {
-	return jobRecord{
+// recordOf renders a job as one merged journal record: its inputs, status
+// and transition details, and its finish time once it has finished.
+func recordOf(j *job) jobRecord {
+	rec := jobRecord{
 		ID:     j.id,
-		Status: statusQueued,
+		Status: j.status,
 		Kind:   j.kind,
 		Class:  string(j.class),
 		Tables: j.tables,
 		Auto:   j.auto,
 		Raw:    j.rawSpec,
 		After:  j.after,
-		Unix:   s.now().Unix(),
+		RawIDs: j.rawIDs,
+		Error:  j.errMsg,
 	}
+	if !j.finished.IsZero() {
+		rec.Unix = j.finished.Unix()
+	}
+	return rec
 }
 
 // recordsLocked renders every retained job as one merged journal record.
 func (s *Server) recordsLocked() []jobRecord {
 	recs := make([]jobRecord, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		rec := jobRecord{
-			ID:     j.id,
-			Status: j.status,
-			Kind:   j.kind,
-			Class:  string(j.class),
-			Tables: j.tables,
-			Auto:   j.auto,
-			Raw:    j.rawSpec,
-			After:  j.after,
-			RawIDs: j.rawIDs,
-			Error:  j.errMsg,
-		}
-		if !j.finished.IsZero() {
-			rec.Unix = j.finished.Unix()
-		}
-		recs = append(recs, rec)
+		recs = append(recs, recordOf(j))
 	}
 	sort.Slice(recs, func(i, k int) bool { return recs[i].ID < recs[k].ID })
 	return recs

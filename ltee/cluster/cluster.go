@@ -8,6 +8,8 @@
 package cluster
 
 import (
+	"context"
+
 	"repro/internal/cluster"
 )
 
@@ -46,5 +48,8 @@ func MetricPrefix(n int) []Metric { return cluster.MetricPrefix(n) }
 // a cluster (the one-shot form of the incremental clusterer the engine
 // uses).
 func Cluster(rows []*Row, scorer *Scorer, opts Options) *Clustering {
-	return cluster.Cluster(rows, scorer, opts)
+	// A context that is never cancelled cannot make ClusterCtx fail.
+	//lteelint:ignore ctxflow Cluster is the context-free v1 form; it has nothing to cancel
+	cl, _ := cluster.ClusterCtx(context.Background(), rows, scorer, opts)
+	return cl
 }
