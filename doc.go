@@ -72,8 +72,9 @@
 // # Performance
 //
 // The similarity hot path is an allocation-free, memoizing kernel
-// (ltee/strsim re-exports it): pooled ASCII-fast Levenshtein, banded
-// bounded variants, interned tokens with a Monge-Elkan pair memo, and
+// (ltee/strsim re-exports it): one exact and one banded Levenshtein DP,
+// each generic over bytes and runes so ASCII labels skip decoding,
+// interned tokens with a Monge-Elkan pair memo, and
 // prepared label forms threaded through clustering, matching, detection
 // and the label index (whose fuzzy fallback runs on a single-deletion
 // neighborhood index). Symmetric Monge-Elkan takes one pass over the

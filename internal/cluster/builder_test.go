@@ -70,17 +70,36 @@ func TestBuilderDerivesImplicitAttributes(t *testing.T) {
 	}
 }
 
+// TestBuilderImplicitThreshold pins the fixed support floor of one half:
+// a combination held by half the rows is kept, one held by fewer than half
+// is dropped.
 func TestBuilderImplicitThreshold(t *testing.T) {
-	k, corpus := implicitFixture()
+	k, _ := implicitFixture()
+	corpus := webtable.NewCorpus([]*webtable.Table{
+		// Each team is held by one row of two.
+		{Headers: []string{"Player"}, LabelCol: 0, Cells: [][]string{{"Amos Quill"}, {"Dorian Blunt"}}},
+		// Each team, and the position, is held by one row of three.
+		{Headers: []string{"Player"}, LabelCol: 0, Cells: [][]string{{"Amos Quill"}, {"Dorian Blunt"}, {"Xavier Nobody"}}},
+	})
 	b := &Builder{
 		KB: k, Corpus: corpus, Class: kb.ClassGFPlayer,
 		Mapping: map[int]map[int]kb.PropertyID{},
-		Config:  BuildConfig{ImplicitThreshold: 1.1}, // impossible
 	}
-	rows := b.Build([]int{0})
+	rows := b.Build([]int{0, 1})
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(rows))
+	}
 	for _, r := range rows {
-		if len(r.Implicit) != 0 {
-			t.Errorf("implicit attributes above impossible threshold: %v", r.Implicit)
+		switch r.Ref.Table {
+		case 0:
+			ia, ok := r.Implicit["dbo:team"]
+			if !ok || ia.Score != 0.5 {
+				t.Errorf("row %v: implicit team = %+v, %v; want support 0.5 kept", r.Ref, ia, ok)
+			}
+		case 1:
+			if len(r.Implicit) != 0 {
+				t.Errorf("row %v: implicit attributes below half support kept: %v", r.Ref, r.Implicit)
+			}
 		}
 	}
 }

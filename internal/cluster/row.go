@@ -56,18 +56,19 @@ type ImplicitAttr struct {
 	Score float64
 }
 
-// BuildConfig controls row preparation.
-type BuildConfig struct {
-	// ImplicitThreshold is the minimum support for keeping an implicit
-	// property-value combination (default 0.5).
-	ImplicitThreshold float64
-	// ImplicitCandidates is the number of KB candidates consulted per row
-	// label when deriving implicit attributes (default 5).
-	ImplicitCandidates int
-	// BlockK is the number of similar labels retrieved per row during
-	// blocking (default 6).
-	BlockK int
-}
+// Row preparation constants.
+const (
+	// implicitThreshold is the minimum fraction of a table's rows that
+	// must support an implicit property-value combination for it to be
+	// kept.
+	implicitThreshold = 0.5
+	// implicitCandidates is the number of KB candidates consulted per row
+	// label when deriving implicit attributes.
+	implicitCandidates = 5
+	// blockK is the number of similar labels retrieved per row during
+	// blocking.
+	blockK = 6
+)
 
 // Builder prepares Rows for a class: it extracts labels, bags of words and
 // mapped values, derives implicit table attributes from the knowledge base,
@@ -79,7 +80,6 @@ type Builder struct {
 	// Mapping gives the attribute-to-property correspondences per table:
 	// Mapping[tableID][col] = property.
 	Mapping map[int]map[int]kb.PropertyID
-	Config  BuildConfig
 	// Blocks, when set, persists the blocking label index across Build
 	// calls so later batches block against every label seen so far (the
 	// incremental engine's mode). Nil builds a fresh per-call index, the
@@ -94,17 +94,6 @@ type Builder struct {
 
 // Build prepares the rows of the given tables (identified by table ID).
 func (b *Builder) Build(tableIDs []int) []*Row {
-	cfg := b.Config
-	if cfg.ImplicitThreshold <= 0 {
-		cfg.ImplicitThreshold = 0.5
-	}
-	if cfg.ImplicitCandidates <= 0 {
-		cfg.ImplicitCandidates = 5
-	}
-	if cfg.BlockK <= 0 {
-		cfg.BlockK = 6
-	}
-
 	pm := b.Phi
 	if pm == nil {
 		pm = NewPhiModel()
@@ -116,7 +105,7 @@ func (b *Builder) Build(tableIDs []int) []*Row {
 		if t == nil || t.LabelCol < 0 {
 			continue
 		}
-		implicit := b.implicitAttrs(t, cfg)
+		implicit := b.implicitAttrs(t)
 		implicitOrder := kb.SortedPropertyIDs(implicit)
 		var tableLabels []string
 		for r := 0; r < t.NumRows(); r++ {
@@ -154,7 +143,7 @@ func (b *Builder) Build(tableIDs []int) []*Row {
 	if bi == nil {
 		bi = NewBlockIndex()
 	}
-	bi.Assign(rows, cfg.BlockK)
+	bi.Assign(rows, blockK)
 	return rows
 }
 
@@ -200,8 +189,8 @@ func sortedCols(mapping map[int]kb.PropertyID) []int {
 // implicitAttrs derives the implicit property-value combinations of a table
 // (§3.2, IMPLICIT_ATT): row labels retrieve candidate instances; every
 // property-value combination of any candidate is scored by the fraction of
-// rows having it; combinations above the threshold are kept.
-func (b *Builder) implicitAttrs(t *webtable.Table, cfg BuildConfig) map[kb.PropertyID]ImplicitAttr {
+// rows having it; combinations held by at least half the rows are kept.
+func (b *Builder) implicitAttrs(t *webtable.Table) map[kb.PropertyID]ImplicitAttr {
 	type pv struct {
 		pid kb.PropertyID
 		key string
@@ -219,7 +208,7 @@ func (b *Builder) implicitAttrs(t *webtable.Table, cfg BuildConfig) map[kb.Prope
 			continue
 		}
 		n++
-		cands := b.KB.Candidates(label, kb.CandidateOpts{K: cfg.ImplicitCandidates, Class: b.Class})
+		cands := b.KB.Candidates(label, kb.CandidateOpts{K: implicitCandidates, Class: b.Class})
 		// Deduplicate combinations across this row's candidates so one
 		// row contributes at most one unit of support per combination.
 		seen := make(map[pv]bool)
@@ -267,7 +256,7 @@ func (b *Builder) implicitAttrs(t *webtable.Table, cfg BuildConfig) map[kb.Prope
 	})
 	for _, key := range keys {
 		score := float64(support[key]) / float64(n)
-		if score < cfg.ImplicitThreshold {
+		if score < implicitThreshold {
 			continue
 		}
 		// Keep the best-supported combination per property.

@@ -87,7 +87,7 @@ func New() *Index {
 		postings: make(map[string][]posting),
 		docFreq:  make(map[string]int),
 		labels:   make(map[int][]string),
-		lsh:      lsh.NewIndex(lsh.DefaultParams()),
+		lsh:      lsh.NewIndex(),
 	}
 }
 
@@ -107,11 +107,11 @@ func (ix *Index) Add(doc int, label string) {
 // deletion-neighborhood lists) never inherits Go's randomized map
 // iteration. The caller holds the write lock.
 func (ix *Index) post(dst []string, doc int, label string) []string {
-	toks := strsim.Tokens(label)
+	norm := strsim.Normalize(label)
+	toks := strings.Fields(norm)
 	if len(toks) == 0 {
 		return dst
 	}
-	norm := strsim.Normalize(label)
 	counts := make(map[string]int, len(toks))
 	for _, t := range toks {
 		counts[t]++

@@ -13,10 +13,10 @@
 // trigrams, so its trigram Jaccard similarity sits near 0.5 where plain
 // token Jaccard is 0.
 //
-// A Hasher computes a MinHash signature of Bands·Rows values per label
-// under a seeded hash family, and folds each band of Rows values into one
+// A Hasher computes a MinHash signature of bands·rows values per label
+// under a seeded hash family, and folds each band of rows values into one
 // bucket key. Two labels with Jaccard similarity s collide in at least one
-// band with probability 1−(1−s^Rows)^Bands — with the default 21 bands of
+// band with probability 1−(1−s^rows)^bands — with the fixed 21 bands of
 // 3 rows, s=0.7 collides with probability ≈0.9998, s=0.5 with ≈0.94,
 // s=0.3 with ≈0.44, and s=0.2 with ≈0.15, while unrelated labels (s≈0)
 // almost never do. The sharp knee is deliberate: fuzzy variants of the

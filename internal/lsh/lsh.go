@@ -8,46 +8,19 @@ import (
 	"repro/internal/strsim"
 )
 
-// Params configures the banding scheme. The zero value is replaced by
-// DefaultParams' fields.
-type Params struct {
-	// Bands is the number of bands (default 21). More bands raise recall
-	// and cost.
-	Bands int
-	// Rows is the number of signature values folded into one band key
-	// (default 3). More rows sharpen the collision threshold upward.
-	Rows int
-	// Seed seeds the hash family. Two indexes agree on bucket keys only
-	// when built with the same seed.
-	Seed uint64
-}
-
-// DefaultParams returns the tuned production parameters: 21 bands of 3
-// rows (a 63-value signature). The curve 1-(1-J^3)^21 puts fuzzy label
+// The banding scheme: 21 bands of 3 rows (a 63-value signature) under a
+// fixed hash-family seed. The curve 1-(1-J^3)^21 puts fuzzy label
 // variants (trigram Jaccard ≥0.6, e.g. an edit-distance-1 typo of a
 // multi-token label) above 0.99 collision probability while pruning the
 // incidental regime — pairs sharing a single common token (J ≈ 0.2-0.3)
 // collide under 25% of the time, so buckets stay small as the corpus
 // grows instead of degenerating into the posting lists of an inverted
 // index (see the package comment for the full curve).
-func DefaultParams() Params {
-	return Params{Bands: 21, Rows: 3, Seed: 0x6c746565} // "ltee"
-}
-
-// normalize fills in defaults for zero fields.
-func (p Params) normalize() Params {
-	d := DefaultParams()
-	if p.Bands <= 0 {
-		p.Bands = d.Bands
-	}
-	if p.Rows <= 0 {
-		p.Rows = d.Rows
-	}
-	if p.Seed == 0 {
-		p.Seed = d.Seed
-	}
-	return p
-}
+const (
+	bands = 21
+	rows  = 3
+	seed  = 0x6c746565 // "ltee"
+)
 
 // splitmix64 advances x and returns the next value of the splitmix64
 // stream; it derives the per-function hash constants from the seed.
@@ -59,30 +32,25 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Hasher computes MinHash signatures and band bucket keys under one seeded
-// hash family. A Hasher is immutable and safe for concurrent use.
+// Hasher computes MinHash signatures and band bucket keys under the
+// package's hash family. A Hasher is immutable and safe for concurrent use.
 type Hasher struct {
-	p Params
 	// a (forced odd) and b are the per-function mixing constants of the
-	// Bands·Rows hash functions.
+	// bands·rows hash functions.
 	a, b []uint64
 }
 
-// NewHasher builds the hash family for the given parameters.
-func NewHasher(p Params) *Hasher {
-	p = p.normalize()
-	k := p.Bands * p.Rows
-	h := &Hasher{p: p, a: make([]uint64, k), b: make([]uint64, k)}
-	s := p.Seed
+// NewHasher builds the hash family.
+func NewHasher() *Hasher {
+	const k = bands * rows
+	h := &Hasher{a: make([]uint64, k), b: make([]uint64, k)}
+	s := uint64(seed)
 	for i := 0; i < k; i++ {
 		h.a[i] = splitmix64(&s) | 1
 		h.b[i] = splitmix64(&s)
 	}
 	return h
 }
-
-// Params returns the (defaulted) parameters the hasher was built with.
-func (h *Hasher) Params() Params { return h.p }
 
 // mix applies hash function i to an element hash.
 func mix(e, a, b uint64) uint64 {
@@ -189,7 +157,7 @@ func elemsOf(tok string) []uint64 {
 // (reused when capacity allows). It returns nil when the label has no
 // tokens — such labels carry no retrievable content and are not indexed.
 func (h *Hasher) Signature(normLabel string, sig []uint64) []uint64 {
-	k := h.p.Bands * h.p.Rows
+	const k = bands * rows
 	if cap(sig) < k {
 		sig = make([]uint64, k)
 	}
@@ -218,10 +186,9 @@ func (h *Hasher) Signature(normLabel string, sig []uint64) []uint64 {
 // appends them to dst. The band position is mixed into the key so equal
 // row values in different bands never share a bucket.
 func (h *Hasher) AppendBandKeys(dst []uint64, sig []uint64) []uint64 {
-	r := h.p.Rows
-	for j := 0; j < h.p.Bands; j++ {
+	for j := 0; j < bands; j++ {
 		x := uint64(fnvOffset) ^ uint64(j+1)*0x9E3779B97F4A7C15
-		for i := j * r; i < (j+1)*r; i++ {
+		for i := j * rows; i < (j+1)*rows; i++ {
 			x = (x ^ sig[i]) * fnvPrime
 		}
 		x ^= x >> 33
@@ -250,17 +217,13 @@ type Index struct {
 }
 
 // NewIndex returns an empty index with its own hasher.
-func NewIndex(p Params) *Index {
-	h := NewHasher(p)
-	ix := &Index{h: h, bands: make([]map[uint64][]int, h.p.Bands)}
+func NewIndex() *Index {
+	ix := &Index{h: NewHasher(), bands: make([]map[uint64][]int, bands)}
 	for j := range ix.bands {
 		ix.bands[j] = make(map[uint64][]int)
 	}
 	return ix
 }
-
-// Hasher returns the index's hasher (shared, immutable).
-func (ix *Index) Hasher() *Hasher { return ix.h }
 
 // Len returns the number of (doc, label) pairs added.
 func (ix *Index) Len() int {

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// TestSignatureDeterminism: same label, same params → identical signatures
-// and band keys, across hashers and regardless of intern-cache state.
+// TestSignatureDeterminism: same label → identical signatures and band
+// keys, across hashers and regardless of intern-cache state.
 func TestSignatureDeterminism(t *testing.T) {
-	h1 := NewHasher(DefaultParams())
-	h2 := NewHasher(DefaultParams())
+	h1 := NewHasher()
+	h2 := NewHasher()
 	labels := []string{"aaron rodgers", "green bay packers", "yesterday", "x"}
 	for _, l := range labels {
 		s1 := h1.Signature(l, nil)
@@ -25,25 +25,20 @@ func TestSignatureDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(k1, k2) {
 			t.Fatalf("band keys differ for %q", l)
 		}
-		if len(k1) != h1.Params().Bands {
-			t.Fatalf("got %d band keys, want %d", len(k1), h1.Params().Bands)
+		if len(k1) != bands {
+			t.Fatalf("got %d band keys, want %d", len(k1), bands)
 		}
 	}
 	if h1.Signature("", nil) != nil || h1.Signature("   ", nil) != nil {
 		t.Fatal("tokenless labels must yield a nil signature")
 	}
-	// A different seed must produce a different family.
-	h3 := NewHasher(Params{Seed: 99})
-	if reflect.DeepEqual(h1.Signature("aaron rodgers", nil), h3.Signature("aaron rodgers", nil)) {
-		t.Fatal("different seeds produced identical signatures")
-	}
 }
 
 // TestIndexRecall: fuzzy variants (edit distance 1) of indexed labels must
-// retrieve their originals essentially always at default parameters, and
+// retrieve their originals essentially always, and
 // unrelated labels must not flood the candidate set.
 func TestIndexRecall(t *testing.T) {
-	ix := NewIndex(DefaultParams())
+	ix := NewIndex()
 	rng := rand.New(rand.NewSource(7))
 	base := make([]string, 400)
 	for i := range base {
@@ -75,7 +70,7 @@ func TestIndexRecall(t *testing.T) {
 // TestIndexQuerySortedDedup: multi-label docs and shared buckets must not
 // produce duplicates or unsorted output.
 func TestIndexQuerySortedDedup(t *testing.T) {
-	ix := NewIndex(DefaultParams())
+	ix := NewIndex()
 	ix.Add(3, "aaron rodgers")
 	ix.Add(3, "aaron charles rodgers")
 	ix.Add(1, "aaron rodgers qb")
@@ -93,7 +88,7 @@ func TestIndexQuerySortedDedup(t *testing.T) {
 // TestIndexClone: a clone answers identically and is isolated from the
 // original afterwards.
 func TestIndexClone(t *testing.T) {
-	ix := NewIndex(DefaultParams())
+	ix := NewIndex()
 	for i, l := range []string{"alpha beta", "alpha gamma", "delta"} {
 		ix.Add(i, l)
 	}
@@ -114,7 +109,7 @@ func TestIndexClone(t *testing.T) {
 
 // TestIndexConcurrent exercises concurrent Add and Query under -race.
 func TestIndexConcurrent(t *testing.T) {
-	ix := NewIndex(DefaultParams())
+	ix := NewIndex()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -38,6 +38,12 @@ type Forest struct {
 // than panicking: training sets can derive from user-supplied ingest
 // batches, and a degenerate batch must not take a long-running process
 // down.
+//
+// The split search sweeps sorted prefix sums instead of rescanning the
+// rows for every threshold. Its trees are bit-identical to the rescan's
+// only for integer targets (agg's are ±1), whose sums and sums of squares
+// are exact in any order while they stay below 2^53; other targets give
+// trees that may differ from the rescan's in the last bits of a score.
 func TrainForest(X [][]float64, y []float64, cfg ForestConfig) (*Forest, error) {
 	if len(X) == 0 {
 		return nil, ErrNoTrainingData

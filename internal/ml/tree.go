@@ -6,9 +6,10 @@
 package ml
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // treeNode is one node of a CART regression tree.
@@ -45,26 +46,7 @@ func buildTree(X [][]float64, y []float64, idx []int, cfg TreeConfig, depth int,
 	nf := len(X[0])
 	feats := featureSubset(nf, cfg.FeatureSample, rng)
 
-	bestFeat, bestThresh, bestScore := -1, 0.0, math.Inf(1)
-	vals := make([]float64, 0, len(idx))
-	for _, f := range feats {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, X[i][f])
-		}
-		sort.Float64s(vals)
-		// Candidate thresholds: midpoints of distinct adjacent values.
-		for k := 1; k < len(vals); k++ {
-			if vals[k] == vals[k-1] {
-				continue
-			}
-			th := (vals[k] + vals[k-1]) / 2
-			score := splitSSE(X, y, idx, f, th)
-			if score < bestScore {
-				bestFeat, bestThresh, bestScore = f, th, score
-			}
-		}
-	}
+	bestFeat, bestThresh, _ := bestSplit(X, y, idx, feats)
 	if bestFeat < 0 {
 		return &treeNode{feature: -1, value: mean}
 	}
@@ -87,6 +69,66 @@ func buildTree(X [][]float64, y []float64, idx []int, cfg TreeConfig, depth int,
 	}
 }
 
+// xy is one sample's feature value and target in the split sweep.
+type xy struct{ x, y float64 }
+
+// bestSplit returns the feature and threshold whose split of idx has the
+// least summed squared error, and that error; bestFeat is -1 when no
+// threshold leaves both sides non-empty. Candidate thresholds are the
+// midpoints of distinct adjacent values of each feature, tried in feature
+// order and then ascending, the first of equal scores winning.
+//
+// Each feature's (x, y) pairs are sorted once and the thresholds swept
+// over prefix sums, the right side taken as the totals minus the left.
+// NaN values never satisfy x <= th, so they stay on the right and out of
+// the sweep. For integer targets every sum is exact, so each score equals
+// the one a per-threshold rescan of the rows computes (TrainForest states
+// the precondition).
+func bestSplit(X [][]float64, y []float64, idx, feats []int) (bestFeat int, bestThresh, bestScore float64) {
+	var tsum, tsq float64
+	for _, i := range idx {
+		tsum += y[i]
+		tsq += y[i] * y[i]
+	}
+	n := len(idx)
+	bestFeat, bestScore = -1, math.Inf(1)
+	pairs := make([]xy, 0, n)
+	for _, f := range feats {
+		pairs = pairs[:0]
+		for _, i := range idx {
+			if x := X[i][f]; !math.IsNaN(x) {
+				pairs = append(pairs, xy{x, y[i]})
+			}
+		}
+		slices.SortFunc(pairs, func(a, b xy) int { return cmp.Compare(a.x, b.x) })
+		ln := 0
+		var lsum, lsq float64
+		for k := 1; k < len(pairs); k++ {
+			if pairs[k].x == pairs[k-1].x {
+				continue
+			}
+			th := (pairs[k].x + pairs[k-1].x) / 2
+			// A midpoint may round up to the upper value, which then
+			// belongs on the left.
+			for ; ln < len(pairs) && pairs[ln].x <= th; ln++ {
+				lsum += pairs[ln].y
+				lsq += pairs[ln].y * pairs[ln].y
+			}
+			if ln == 0 || ln == n {
+				continue // one side empty (ln == 0 only for a NaN midpoint)
+			}
+			rn := n - ln
+			rsum, rsq := tsum-lsum, tsq-lsq
+			// SSE = sum(y²) - n*mean², per side.
+			score := (lsq - lsum*lsum/float64(ln)) + (rsq - rsum*rsum/float64(rn))
+			if score < bestScore {
+				bestFeat, bestThresh, bestScore = f, th, score
+			}
+		}
+	}
+	return bestFeat, bestThresh, bestScore
+}
+
 // predict walks the tree for one feature vector.
 func (n *treeNode) predict(x []float64) float64 {
 	for n.left != nil {
@@ -107,31 +149,6 @@ func (n *treeNode) importanceInto(imp []float64) {
 	imp[n.feature]++
 	n.left.importanceInto(imp)
 	n.right.importanceInto(imp)
-}
-
-// splitSSE computes the summed squared error of a candidate split.
-func splitSSE(X [][]float64, y []float64, idx []int, f int, th float64) float64 {
-	var ln, rn int
-	var lsum, rsum, lsq, rsq float64
-	for _, i := range idx {
-		v := y[i]
-		if X[i][f] <= th {
-			ln++
-			lsum += v
-			lsq += v * v
-		} else {
-			rn++
-			rsum += v
-			rsq += v * v
-		}
-	}
-	if ln == 0 || rn == 0 {
-		return math.Inf(1)
-	}
-	// SSE = sum(y²) - n*mean².
-	lsse := lsq - lsum*lsum/float64(ln)
-	rsse := rsq - rsum*rsum/float64(rn)
-	return lsse + rsse
 }
 
 func meanVar(y []float64, idx []int) (mean, variance float64) {

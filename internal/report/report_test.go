@@ -81,11 +81,9 @@ func num(t *testing.T, cell string) float64 {
 //
 //	go test ./internal/report -run TestPaperTablesGolden -update
 //
-// and the diff is reviewed like any other.
+// and the diff is reviewed like any other. It runs under -short too, so
+// the short race run covers the whole gold-standard harness.
 func TestPaperTablesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains pipeline models; skipped in -short")
-	}
 	var b strings.Builder
 	for _, pt := range paperTables {
 		fmt.Fprintf(&b, "# %s\n%s\n", pt.name, paperTable(t, pt.name))

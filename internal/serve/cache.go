@@ -12,16 +12,14 @@ import (
 // keys, and the stale generation ages out through normal LRU eviction.
 // Hot lookups therefore skip retrieval entirely between KB mutations.
 type lruCache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List
-	items  map[cacheKey]*list.Element
-	hits   uint64
-	misses uint64
-	// perEndpoint breaks hits/misses down by the endpoint tag the
-	// handlers pass to get, so /v1/stats can show which read path a
-	// cache actually serves (the search index work of this repo is
-	// invisible in an aggregate counter once lookups dominate).
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List
+	items map[cacheKey]*list.Element
+	// perEndpoint counts hits/misses by the endpoint tag the handlers
+	// pass to get, so /v1/stats can show which read path a cache actually
+	// serves (the search index work of this repo is invisible in an
+	// aggregate counter once lookups dominate). The totals are their sums.
 	perEndpoint map[string]*endpointCounts
 }
 
@@ -70,11 +68,9 @@ func (c *lruCache) get(endpoint string, version uint64, key string) ([]byte, boo
 	}
 	el, ok := c.items[cacheKey{version, key}]
 	if !ok {
-		c.misses++
 		ec.misses++
 		return nil, false
 	}
-	c.hits++
 	ec.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).body, true
@@ -109,7 +105,11 @@ func (c *lruCache) stats() (hits, misses uint64, entries int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
+	for _, ec := range c.perEndpoint {
+		hits += ec.hits
+		misses += ec.misses
+	}
+	return hits, misses, c.ll.Len()
 }
 
 // endpointStats returns a copy of the per-endpoint hit/miss counts.

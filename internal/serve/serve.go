@@ -843,7 +843,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// The body is optional: a bare POST snapshots immediately, a JSON
 	// body may order the snapshot after other jobs.
 	var req SnapshotRequest
-	if err := decodeBodyOptional(w, r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -1018,20 +1018,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
-	}
-	return nil
-}
-
-// decodeBodyOptional is decodeBody for endpoints whose body may be empty:
-// an absent body leaves dst at its zero value.
-func decodeBodyOptional(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
 		return fmt.Errorf("invalid request body: %w", err)
 	}
 	return nil

@@ -7,9 +7,8 @@ import (
 )
 
 // The token interner gives every distinct normalized token a small integer
-// ID and caches its decoded form, so the Monge-Elkan inner loop compares
-// integers instead of hashing strings and never re-decodes a token it has
-// seen before. On top of the IDs sits a sharded memo of token-pair
+// ID, so the Monge-Elkan inner loop compares integers instead of hashing
+// strings. On top of the IDs sits a sharded memo of token-pair
 // LevenshteinSim values: labels across a corpus share a heavy-tailed
 // vocabulary, so the same token pairs recur millions of times per pipeline
 // run. Memoized values are the exact floats the kernel computes, so
@@ -23,17 +22,10 @@ import (
 // same floats. The pair memo likewise stops inserting at memoShardCap per
 // shard and recomputes through the pooled kernel.
 
-// internedToken is one interned token: its string form plus the decoded
-// runes when not pure ASCII (nil means "all ASCII, use the bytes").
-type internedToken struct {
-	s     string
-	runes []rune
-}
-
 var interner = struct {
 	mu   sync.RWMutex
 	ids  map[string]int32
-	toks []internedToken
+	toks []string
 }{ids: make(map[string]int32, 1024)}
 
 // noTokenID marks a token the interner declined to intern (cap reached).
@@ -54,23 +46,7 @@ func internBytes(b []byte) int32 {
 	if ok {
 		return id
 	}
-	interner.mu.Lock()
-	defer interner.mu.Unlock()
-	if id, ok := interner.ids[string(b)]; ok {
-		return id
-	}
-	if int32(len(interner.toks)) >= internCap {
-		return noTokenID
-	}
-	s := string(b)
-	id = int32(len(interner.toks))
-	t := internedToken{s: s}
-	if !isASCII(s) {
-		t.runes = []rune(s)
-	}
-	interner.toks = append(interner.toks, t)
-	interner.ids[s] = id
-	return id
+	return internString(string(b))
 }
 
 // Intern returns the process-wide intern ID of an (already normalized)
@@ -100,11 +76,7 @@ func internString(s string) int32 {
 		return noTokenID
 	}
 	id = int32(len(interner.toks))
-	t := internedToken{s: s}
-	if !isASCII(s) {
-		t.runes = []rune(s)
-	}
-	interner.toks = append(interner.toks, t)
+	interner.toks = append(interner.toks, s)
 	interner.ids[s] = id
 	return id
 }
@@ -120,7 +92,7 @@ func hasNoID(ids []int32) bool {
 }
 
 // tokenOf returns the interned token for an ID.
-func tokenOf(id int32) internedToken {
+func tokenOf(id int32) string {
 	interner.mu.RLock()
 	t := interner.toks[id]
 	interner.mu.RUnlock()
@@ -198,7 +170,7 @@ func levSimTok(x, y int32) float64 {
 	if ok {
 		return v
 	}
-	v = levSimInterned(tokenOf(x), tokenOf(y))
+	v = LevenshteinSim(tokenOf(x), tokenOf(y))
 	sh.mu.Lock()
 	if sh.m == nil {
 		sh.m = make(map[uint64]float64, 256)
@@ -208,28 +180,4 @@ func levSimTok(x, y int32) float64 {
 	}
 	sh.mu.Unlock()
 	return v
-}
-
-// levSimInterned computes LevenshteinSim using the interned tokens' cached
-// decoded forms (no per-call decoding for non-ASCII tokens).
-func levSimInterned(tx, ty internedToken) float64 {
-	if tx.s == ty.s {
-		return 1
-	}
-	sc := levPool.Get().(*levScratch)
-	defer levPool.Put(sc)
-	if tx.runes == nil && ty.runes == nil {
-		return simOf(sc.distASCII(tx.s, ty.s), len(tx.s), len(ty.s))
-	}
-	ra := tx.runes
-	if ra == nil {
-		ra = appendRunes(sc.ra[:0], tx.s)
-		sc.ra = ra
-	}
-	rb := ty.runes
-	if rb == nil {
-		rb = appendRunes(sc.rb[:0], ty.s)
-		sc.rb = rb
-	}
-	return simOf(sc.distRunes(ra, rb), len(ra), len(rb))
 }

@@ -119,6 +119,52 @@ func TestLevenshteinBounded(t *testing.T) {
 	}
 }
 
+// FuzzEditDistance checks the edit-distance kernels against the
+// references on arbitrary byte strings: invalid UTF-8, long ASCII runs and
+// mixed scripts, which the generators above never produce. k bounds
+// LevenshteinBounded and picks a LevenshteinSimBounded floor; the true
+// similarity is also tried as a floor, the edge of that contract.
+func FuzzEditDistance(f *testing.F) {
+	f.Add("", "", 0)
+	f.Add("kitten", "sitting", 2)
+	f.Add("tom brady", "tom brady", 1)
+	f.Add("züñ東京", "zun東", 3)
+	f.Add("\xff\xfe", "\xfe", 1)
+	f.Add("ab\x80cd", "abcd", 0)
+	f.Add(strings.Repeat("a", 300), strings.Repeat("a", 298)+"bb", 5)
+	f.Add("ελληνικά abc", "Ελληνικα abd", 40)
+	f.Fuzz(func(t *testing.T, a, b string, k int) {
+		if len(a) > 512 || len(b) > 512 {
+			t.Skip("the reference DP is quadratic")
+		}
+		if k < 0 {
+			k = -(k + 1)
+		}
+		k %= 64
+		ref := levenshteinRef(a, b)
+		if got := Levenshtein(a, b); got != ref {
+			t.Fatalf("Levenshtein(%q, %q) = %d, ref %d", a, b, got, ref)
+		}
+		sim := levenshteinSimRef(a, b)
+		if got := LevenshteinSim(a, b); got != sim {
+			t.Fatalf("LevenshteinSim(%q, %q) = %v, ref %v", a, b, got, sim)
+		}
+		want := min(ref, k+1)
+		if got := LevenshteinBounded(a, b, k); got != want {
+			t.Fatalf("LevenshteinBounded(%q, %q, %d) = %d, want %d (ref %d)", a, b, k, got, want, ref)
+		}
+		for _, floor := range []float64{float64(k%12)/10 - 0.1, sim} {
+			got := LevenshteinSimBounded(a, b, floor)
+			if sim > floor && got != sim {
+				t.Fatalf("LevenshteinSimBounded(%q, %q, %v) = %v, want exact ref %v", a, b, floor, got, sim)
+			}
+			if sim <= floor && got > floor {
+				t.Fatalf("LevenshteinSimBounded(%q, %q, %v) = %v > floor but ref %v <= floor", a, b, floor, got, sim)
+			}
+		}
+	})
+}
+
 func TestMongeElkanMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 2000; i++ {
@@ -147,12 +193,12 @@ func TestPreparedMatchesRef(t *testing.T) {
 			t.Fatalf("Prepare(%q).Norm = %q, want %q", a, got, want)
 		}
 		ref := ToSparse(BinaryTermVector(a))
-		got := pa.TermVec()
+		got := pa.vec
 		if !reflect.DeepEqual(got.Elems, ref.Elems) && !(got.Len() == 0 && ref.Len() == 0) {
-			t.Fatalf("Prepare(%q).TermVec = %v, want %v", a, got.Elems, ref.Elems)
+			t.Fatalf("Prepare(%q).vec = %v, want %v", a, got.Elems, ref.Elems)
 		}
 		if got.norm != ref.norm {
-			t.Fatalf("Prepare(%q).TermVec norm = %v, want %v", a, got.norm, ref.norm)
+			t.Fatalf("Prepare(%q).vec norm = %v, want %v", a, got.norm, ref.norm)
 		}
 	}
 }
@@ -180,7 +226,7 @@ func TestInternTokenization(t *testing.T) {
 		ids := appendTokenIDs(nil, s)
 		got := make([]string, len(ids))
 		for j, id := range ids {
-			got[j] = tokenOf(id).s
+			got[j] = tokenOf(id)
 		}
 		want := Tokens(s)
 		if len(got) == 0 && len(want) == 0 {

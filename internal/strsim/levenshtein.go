@@ -7,13 +7,16 @@ import (
 
 // The edit-distance kernels below are the innermost loops of the whole
 // pipeline: every LABEL metric, every blocking lookup, and the fuzzy index
-// fallback bottom out here. The exported functions are allocation-free on
-// the hot path — scratch DP rows and rune buffers come from a sync.Pool,
-// all-ASCII inputs (the common case after normalization) skip rune
-// decoding entirely, and common prefixes/suffixes are trimmed before the
-// DP. The pre-optimization implementations are kept as unexported *Ref
-// functions; randomized tests in kernel_test.go prove the optimized
-// kernels return exactly the reference values.
+// fallback bottom out here. There is one exact DP (editDist) and one
+// banded DP (bandedDist), each generic over the element type: all-ASCII
+// inputs (the common case after normalization) run it over their bytes
+// without decoding, anything else over runes decoded into pooled buffers.
+// The exported functions are allocation-free on the hot path — scratch DP
+// rows and rune buffers come from a sync.Pool — and common
+// prefixes/suffixes are trimmed before the DP. The pre-optimization
+// implementations are kept as unexported *Ref functions; randomized and
+// fuzz tests in kernel_test.go prove the optimized kernels return exactly
+// the reference values.
 
 // Levenshtein returns the edit distance between a and b over runes.
 func Levenshtein(a, b string) int {
@@ -83,10 +86,7 @@ func LevenshteinSimBounded(a, b string, floor float64) float64 {
 		return simOf(d, la, lb)
 	}
 	la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
-	m := la
-	if lb > m {
-		m = lb
-	}
+	m := max(la, lb)
 	if m == 0 {
 		return 1
 	}
@@ -107,10 +107,7 @@ func LevenshteinSimBounded(a, b string, floor float64) float64 {
 }
 
 func simOf(d, la, lb int) float64 {
-	m := la
-	if lb > m {
-		m = lb
-	}
+	m := max(la, lb)
 	if m == 0 {
 		return 1
 	}
@@ -161,18 +158,35 @@ func isASCII(s string) bool {
 }
 
 // dist computes the exact edit distance plus both rune lengths, decoding
-// each string at most once (ASCII inputs are never decoded at all).
+// each string at most once. ASCII inputs are never decoded: they enter the
+// DP as their bytes, a conversion the compiler makes without a copy
+// because the slices neither escape nor are written.
 func (sc *levScratch) dist(a, b string) (d, la, lb int) {
 	if isASCII(a) && isASCII(b) {
-		return sc.distASCII(a, b), len(a), len(b)
+		return editDist(sc, []byte(a), []byte(b)), len(a), len(b)
 	}
 	ra, rb := sc.decode(a, b)
-	return sc.distRunes(ra, rb), len(ra), len(rb)
+	return editDist(sc, ra, rb), len(ra), len(rb)
 }
 
-// distASCII is the two-row DP over bytes with common prefix/suffix
-// trimming (trimming never changes the distance).
-func (sc *levScratch) distASCII(a, b string) int {
+// distBounded returns the exact distance when it is ≤ k, and some value
+// > k otherwise (the banded DP abandons the computation as soon as every
+// path through the band exceeds k). la and lb are the rune lengths,
+// already known to the caller.
+func (sc *levScratch) distBounded(a, b string, la, lb, k int) int {
+	if la-lb > k || lb-la > k {
+		return k + 1
+	}
+	if isASCII(a) && isASCII(b) {
+		return bandedDist(sc, []byte(a), []byte(b), k)
+	}
+	ra, rb := sc.decode(a, b)
+	return bandedDist(sc, ra, rb, k)
+}
+
+// editDist is the two-row DP over bytes or runes with common
+// prefix/suffix trimming (trimming never changes the distance).
+func editDist[E byte | rune](sc *levScratch, a, b []E) int {
 	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
 		a, b = a[1:], b[1:]
 	}
@@ -197,74 +211,25 @@ func (sc *levScratch) distASCII(a, b string) int {
 			if ca == b[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
 }
 
-// distRunes is the two-row DP over decoded runes with prefix/suffix
-// trimming.
-func (sc *levScratch) distRunes(ra, rb []rune) int {
-	for len(ra) > 0 && len(rb) > 0 && ra[0] == rb[0] {
-		ra, rb = ra[1:], rb[1:]
-	}
-	for len(ra) > 0 && len(rb) > 0 && ra[len(ra)-1] == rb[len(rb)-1] {
-		ra, rb = ra[:len(ra)-1], rb[:len(rb)-1]
-	}
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev, cur := sc.rows(len(rb) + 1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		ca := ra[i-1]
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ca == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// distBounded returns the exact distance when it is ≤ k, and some value
-// > k otherwise (the banded DP abandons the computation as soon as every
-// path through the band exceeds k). la and lb are the rune lengths,
-// already known to the caller.
-func (sc *levScratch) distBounded(a, b string, la, lb, k int) int {
-	if la-lb > k || lb-la > k {
-		return k + 1
-	}
-	if isASCII(a) && isASCII(b) {
-		return sc.bandedASCII(a, b, k)
-	}
-	ra, rb := sc.decode(a, b)
-	return sc.bandedRunes(ra, rb, k)
-}
-
 // levInf is the band sentinel: larger than any real distance, small
 // enough that +1 arithmetic cannot overflow.
 const levInf = 1 << 29
 
-func (sc *levScratch) bandedASCII(a, b string, k int) int {
+// bandedDist is the DP restricted to the diagonal strip |i−j| ≤ k, with
+// sentinels just outside the strip and an early exit once a whole row
+// exceeds k.
+func bandedDist[E byte | rune](sc *levScratch, a, b []E, k int) int {
 	la, lb := len(a), len(b)
 	prev, cur := sc.rows(lb + 1)
 	// Row 0 inside the band, sentinel just past it.
-	hi0 := k
-	if hi0 > lb {
-		hi0 = lb
-	}
+	hi0 := min(k, lb)
 	for j := 0; j <= hi0; j++ {
 		prev[j] = j
 	}
@@ -272,13 +237,7 @@ func (sc *levScratch) bandedASCII(a, b string, k int) int {
 		prev[hi0+1] = levInf
 	}
 	for i := 1; i <= la; i++ {
-		lo, hi := i-k, i+k
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > lb {
-			hi = lb
-		}
+		lo, hi := max(i-k, 1), min(i+k, lb)
 		if lo == 1 {
 			cur[0] = i
 		} else {
@@ -291,11 +250,9 @@ func (sc *levScratch) bandedASCII(a, b string, k int) int {
 			if ca == b[j-1] {
 				cost = 0
 			}
-			v := min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			v := min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 			cur[j] = v
-			if v < rowMin {
-				rowMin = v
-			}
+			rowMin = min(rowMin, v)
 		}
 		if rowMin > k {
 			return k + 1
@@ -309,69 +266,6 @@ func (sc *levScratch) bandedASCII(a, b string, k int) int {
 		return k + 1
 	}
 	return prev[lb]
-}
-
-func (sc *levScratch) bandedRunes(ra, rb []rune, k int) int {
-	la, lb := len(ra), len(rb)
-	prev, cur := sc.rows(lb + 1)
-	hi0 := k
-	if hi0 > lb {
-		hi0 = lb
-	}
-	for j := 0; j <= hi0; j++ {
-		prev[j] = j
-	}
-	if hi0 < lb {
-		prev[hi0+1] = levInf
-	}
-	for i := 1; i <= la; i++ {
-		lo, hi := i-k, i+k
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > lb {
-			hi = lb
-		}
-		if lo == 1 {
-			cur[0] = i
-		} else {
-			cur[lo-1] = levInf
-		}
-		rowMin := levInf
-		ca := ra[i-1]
-		for j := lo; j <= hi; j++ {
-			cost := 1
-			if ca == rb[j-1] {
-				cost = 0
-			}
-			v := min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-			cur[j] = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if rowMin > k {
-			return k + 1
-		}
-		if hi < lb {
-			cur[hi+1] = levInf
-		}
-		prev, cur = cur, prev
-	}
-	if prev[lb] > k {
-		return k + 1
-	}
-	return prev[lb]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 // ---------------------------------------------------------------------------
@@ -400,7 +294,7 @@ func levenshteinRef(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}

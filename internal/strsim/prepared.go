@@ -99,10 +99,6 @@ func TermCosine(x, y string) float64 {
 	return CosineSparse(PrepareCached(x).vec, PrepareCached(y).vec)
 }
 
-// TermVec returns the label's sorted binary term vector (weight 1 per
-// distinct token, Euclidean norm cached). The caller must not mutate it.
-func (p *PreparedLabel) TermVec() SparseVec { return p.vec }
-
 // interned reports whether both labels carry interned IDs (empty labels
 // have no IDs but also nothing to compare; treat them as interned so the
 // empty/empty and empty/non-empty cases take the ID path's edge handling).

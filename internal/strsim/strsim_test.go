@@ -198,22 +198,7 @@ func TestCosineSymmetric(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	a := map[string]bool{"x": true, "y": true}
-	b := map[string]bool{"y": true, "z": true}
-	if s := Jaccard(a, b); math.Abs(s-1.0/3.0) > 1e-9 {
-		t.Errorf("Jaccard = %v, want 1/3", s)
-	}
-	if s := Jaccard(nil, nil); s != 1 {
-		t.Errorf("both empty = %v, want 1", s)
-	}
-}
-
 func TestTermVectors(t *testing.T) {
-	v := TermVector("a b a", "b c")
-	if v["a"] != 2 || v["b"] != 2 || v["c"] != 1 {
-		t.Errorf("TermVector = %v", v)
-	}
 	bv := BinaryTermVector("a b a", "b c")
 	if bv["a"] != 1 || bv["b"] != 1 || bv["c"] != 1 {
 		t.Errorf("BinaryTermVector = %v", bv)

@@ -1,7 +1,7 @@
 // Package strsim provides the string similarity primitives used throughout
-// the LTEE pipeline: Levenshtein and Monge-Elkan similarities for label
-// comparison, Jaccard and cosine similarities for token sets and term
-// vectors, and a shared tokenizer/normalizer.
+// the LTEE pipeline: Levenshtein and symmetric Monge-Elkan similarities for
+// label comparison, cosine similarity for binary term vectors, and a
+// shared tokenizer/normalizer.
 //
 // All similarity functions return values in [0, 1], where 1 means identical.
 //
@@ -11,25 +11,27 @@
 // detection, fuzzy search — bottoms out in this package, so the kernels
 // are built to be allocation-free and to never repeat work:
 //
-//   - Levenshtein / LevenshteinSim use pooled DP rows, an ASCII fast path
-//     (no rune decoding), and common prefix/suffix trimming. Rune lengths
-//     are computed once and shared between the distance and its
-//     normalization.
-//   - LevenshteinBounded and LevenshteinSimBounded are the kernels for
-//     bounded checks and best-candidate searches: a banded DP abandons
-//     pairs that cannot beat the caller's floor (or max distance), so
-//     high floors cost O(k·n) instead of O(n²).
-//   - MongeElkan / MongeElkanSym run on interned token IDs with a sharded
-//     memo of token-pair similarities: the corpus vocabulary is
-//     heavy-tailed, so the same token pairs recur millions of times.
+//   - Levenshtein / LevenshteinSim run one exact DP, generic over bytes
+//     and runes: all-ASCII inputs enter it as their bytes without
+//     decoding, others as runes decoded into pooled buffers. DP rows are
+//     pooled, common prefixes/suffixes trimmed, and rune lengths computed
+//     once and shared between the distance and its normalization.
+//   - LevenshteinBounded and LevenshteinSimBounded run the one banded DP
+//     for bounded checks and best-candidate searches: it abandons pairs
+//     that cannot beat the caller's floor (or max distance), so high
+//     floors cost O(k·n) instead of O(n²).
+//   - MongeElkanSym runs on interned token IDs in one pass over the
+//     token-pair matrix, with a sharded memo of token-pair similarities:
+//     the corpus vocabulary is heavy-tailed, so the same token pairs recur
+//     millions of times.
 //   - PreparedLabel (via Prepare or the process-wide PrepareCached)
 //     normalizes, tokenizes, interns, and vectorizes a label exactly once
 //     per lifetime; use it whenever the same string is compared more than
-//     once. TermVec returns the label's sorted binary term vector for
-//     merge-join cosines (CosineSparse).
+//     once. TermCosine compares two labels' cached binary term vectors by
+//     a merge join (CosineSparse).
 //
 // The pre-optimization implementations are retained as unexported
-// reference functions, and randomized equivalence tests
+// reference functions, and randomized and fuzz equivalence tests
 // (kernel_test.go) prove the optimized kernels return exactly — bit for
 // bit — the reference values, so callers can switch freely between the
 // prepared and plain entry points without output drift.
@@ -71,20 +73,8 @@ func Tokens(s string) []string {
 	return strings.Fields(n)
 }
 
-// TermVector counts normalized token occurrences in each of the given
-// strings, producing a term-frequency vector.
-func TermVector(ss ...string) map[string]float64 {
-	v := make(map[string]float64)
-	for _, s := range ss {
-		for _, t := range Tokens(s) {
-			v[t]++
-		}
-	}
-	return v
-}
-
-// BinaryTermVector is like TermVector but records only presence (weight 1),
-// matching the paper's "bag-of-words binary term vector".
+// BinaryTermVector records each normalized token of the given strings with
+// weight 1, the paper's "bag-of-words binary term vector".
 func BinaryTermVector(ss ...string) map[string]float64 {
 	v := make(map[string]float64)
 	for _, s := range ss {
