@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -243,7 +244,7 @@ func TestRetrieveMatchesSearch(t *testing.T) {
 		}
 	}
 	for doc := 0; doc <= 400; doc += 8 {
-		l := ix.labels[doc][0]
+		l := strings.Join(ix.labels[doc][0], " ")
 		if got, want := ix.Retrieve(l, 1), ix.Search(l, 1); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Retrieve(%q) top = %+v, Search top = %+v", l, got, want)
 		}

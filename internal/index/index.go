@@ -36,7 +36,9 @@ type Index struct {
 	mu       sync.RWMutex
 	postings map[string][]posting // token -> docs containing it
 	docFreq  map[string]int       // token -> number of distinct docs
-	labels   map[int][]string     // doc -> normalized labels
+	// labels holds each doc's labels as their normalized tokens (substrings
+	// of the normalized label), in insertion order, for scoreDocs.
+	labels map[int][][]string
 	// lsh files every posted label under its MinHash band buckets, fed
 	// under the write lock with the same normalized label, so Retrieve's
 	// bucket lookup and posting walk read one consistent state.
@@ -86,7 +88,7 @@ func New() *Index {
 	return &Index{
 		postings: make(map[string][]posting),
 		docFreq:  make(map[string]int),
-		labels:   make(map[int][]string),
+		labels:   make(map[int][][]string),
 		lsh:      lsh.NewIndex(),
 	}
 }
@@ -100,8 +102,8 @@ func (ix *Index) Add(doc int, label string) {
 	}
 }
 
-// post files one label under doc — its normalized form, its LSH buckets,
-// and a tf posting and document-frequency count per distinct token — and
+// post files one label under doc — its tokens, its LSH buckets, and a tf
+// posting and document-frequency count per distinct token — and
 // appends the tokens new to the vocabulary to dst. Tokens are posted in
 // sorted order, so the vocabulary's discovery order (which fixes the
 // deletion-neighborhood lists) never inherits Go's randomized map
@@ -119,7 +121,7 @@ func (ix *Index) post(dst []string, doc int, label string) []string {
 	if _, seen := ix.labels[doc]; !seen {
 		ix.numDocs++
 	}
-	ix.labels[doc] = append(ix.labels[doc], norm)
+	ix.labels[doc] = append(ix.labels[doc], toks)
 	ix.lsh.Add(doc, norm)
 	ts := make([]string, 0, len(counts))
 	for t := range counts {
@@ -390,8 +392,7 @@ func (ix *Index) scoreDocs(terms []term, docs []int) []Hit {
 		labels := ix.labels[d]
 		score, found := 0.0, false
 		for _, t := range terms {
-			for _, l := range labels {
-				lt := strsim.PrepareCached(l).Tokens
+			for _, lt := range labels {
 				n := 0
 				for _, x := range lt {
 					if x == t.tok {

@@ -126,30 +126,26 @@ var elemCache struct {
 // elemsOf returns the (immutable) element hashes of tok, cached per
 // interned token.
 func elemsOf(tok string) []uint64 {
-	id, ok := strsim.Intern(tok)
-	if ok {
-		elemCache.mu.RLock()
-		var e []uint64
-		if int(id) < len(elemCache.byID) {
-			e = elemCache.byID[id]
-		}
-		elemCache.mu.RUnlock()
-		if e != nil {
-			return e
-		}
+	id := strsim.Intern(tok)
+	elemCache.mu.RLock()
+	var e []uint64
+	if int(id) < len(elemCache.byID) {
+		e = elemCache.byID[id]
 	}
-	e := appendTokenElems(make([]uint64, 0, len(tok)+3), tok)
-	if ok {
-		elemCache.mu.Lock()
-		for int(id) >= len(elemCache.byID) {
-			grow := len(elemCache.byID)*2 + 64
-			next := make([][]uint64, grow)
-			copy(next, elemCache.byID)
-			elemCache.byID = next
-		}
-		elemCache.byID[id] = e
-		elemCache.mu.Unlock()
+	elemCache.mu.RUnlock()
+	if e != nil {
+		return e
 	}
+	e = appendTokenElems(make([]uint64, 0, len(tok)+3), tok)
+	elemCache.mu.Lock()
+	for int(id) >= len(elemCache.byID) {
+		grow := len(elemCache.byID)*2 + 64
+		next := make([][]uint64, grow)
+		copy(next, elemCache.byID)
+		elemCache.byID = next
+	}
+	elemCache.byID[id] = e
+	elemCache.mu.Unlock()
 	return e
 }
 

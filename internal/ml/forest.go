@@ -3,7 +3,6 @@ package ml
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -15,9 +14,6 @@ var ErrNoTrainingData = errors.New("ml: forest training needs a non-empty sample
 type ForestConfig struct {
 	// Trees is the number of bagged trees (default 40).
 	Trees int
-	// Tree configures individual tree induction. A zero FeatureSample
-	// defaults to sqrt(p)/p.
-	Tree TreeConfig
 	// BagFraction is the fraction of samples drawn (with replacement)
 	// per tree (the paper tunes the out-of-bag rate; default 1.0).
 	BagFraction float64
@@ -66,15 +62,6 @@ func TrainForest(X [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 	if cfg.BagFraction <= 0 || cfg.BagFraction > 1 {
 		cfg.BagFraction = 1.0
 	}
-	if cfg.Tree.FeatureSample <= 0 {
-		cfg.Tree.FeatureSample = math.Sqrt(float64(nf)) / float64(nf)
-	}
-	if cfg.Tree.MinLeaf <= 0 {
-		cfg.Tree.MinLeaf = 1
-	}
-	if cfg.Tree.MaxDepth <= 0 {
-		cfg.Tree.MaxDepth = 12
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
 	f := &Forest{importance: make([]float64, nf), nFeatures: nf}
@@ -95,7 +82,7 @@ func TrainForest(X [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 			idx[i] = j
 			inBag[j] = true
 		}
-		tree := buildTree(X, y, idx, cfg.Tree, 0, rng)
+		tree := buildTree(X, y, idx, 0, rng)
 		f.trees = append(f.trees, tree)
 		tree.importanceInto(f.importance)
 		for i := 0; i < n; i++ {

@@ -100,15 +100,18 @@ func TestForestOOBError(t *testing.T) {
 
 func TestTuneForestPicksLowerOOB(t *testing.T) {
 	X, y := makeRegression(200, 9)
-	weak := ForestConfig{Trees: 2, Tree: TreeConfig{MaxDepth: 1}, Seed: 5}
+	weak := ForestConfig{Trees: 2, BagFraction: 0.1, Seed: 5}
 	strong := ForestConfig{Trees: 30, Seed: 5}
 	tuned, err := TuneForest(X, y, []ForestConfig{weak, strong})
 	if err != nil {
 		t.Fatalf("TuneForest: %v", err)
 	}
-	solo := mustTrain(t, X, y, weak)
-	if tuned.OOBError() > solo.OOBError() {
-		t.Errorf("tuning picked worse config: %v > %v", tuned.OOBError(), solo.OOBError())
+	w, s := mustTrain(t, X, y, weak).OOBError(), mustTrain(t, X, y, strong).OOBError()
+	if w <= s {
+		t.Fatalf("weak config's OOB error %v not above the strong one's %v", w, s)
+	}
+	if tuned.OOBError() != s {
+		t.Errorf("tuning picked OOB error %v, want the strong config's %v (weak %v)", tuned.OOBError(), s, w)
 	}
 }
 

@@ -21,35 +21,26 @@ type treeNode struct {
 	left, right *treeNode
 }
 
-// TreeConfig configures regression tree induction.
-type TreeConfig struct {
-	// MaxDepth limits tree depth (<=0 means unlimited).
-	MaxDepth int
-	// MinLeaf is the minimum number of samples in a leaf (default 1).
-	MinLeaf int
-	// FeatureSample, when in (0,1], is the fraction of features examined
-	// at each split (random forests use sqrt(p)/p by default).
-	FeatureSample float64
-}
+// maxDepth bounds tree depth. Below it a tree splits every node of at
+// least two samples whose targets vary, examining a random sqrt(p) of the
+// p features at each split (featureSubset).
+const maxDepth = 12
 
 // buildTree grows a regression tree on rows X (features) and targets y,
 // considering only the given sample indices.
-func buildTree(X [][]float64, y []float64, idx []int, cfg TreeConfig, depth int, rng *rand.Rand) *treeNode {
+func buildTree(X [][]float64, y []float64, idx []int, depth int, rng *rand.Rand) *treeNode {
 	if len(idx) == 0 {
 		return &treeNode{feature: -1}
 	}
 	mean, variance := meanVar(y, idx)
-	if variance < 1e-12 || (cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) ||
-		len(idx) <= cfg.MinLeaf || len(idx) < 2 {
+	if variance < 1e-12 || depth >= maxDepth || len(idx) < 2 {
 		return &treeNode{feature: -1, value: mean}
 	}
-	nf := len(X[0])
-	feats := featureSubset(nf, cfg.FeatureSample, rng)
-
-	bestFeat, bestThresh, _ := bestSplit(X, y, idx, feats)
+	bestFeat, bestThresh, _ := bestSplit(X, y, idx, featureSubset(len(X[0]), rng))
 	if bestFeat < 0 {
 		return &treeNode{feature: -1, value: mean}
 	}
+	// bestSplit only returns a split that leaves both sides non-empty.
 	var li, ri []int
 	for _, i := range idx {
 		if X[i][bestFeat] <= bestThresh {
@@ -58,14 +49,11 @@ func buildTree(X [][]float64, y []float64, idx []int, cfg TreeConfig, depth int,
 			ri = append(ri, i)
 		}
 	}
-	if len(li) == 0 || len(ri) == 0 || len(li) < cfg.MinLeaf || len(ri) < cfg.MinLeaf {
-		return &treeNode{feature: -1, value: mean}
-	}
 	return &treeNode{
 		feature: bestFeat,
 		thresh:  bestThresh,
-		left:    buildTree(X, y, li, cfg, depth+1, rng),
-		right:   buildTree(X, y, ri, cfg, depth+1, rng),
+		left:    buildTree(X, y, li, depth+1, rng),
+		right:   buildTree(X, y, ri, depth+1, rng),
 	}
 }
 
@@ -167,18 +155,12 @@ func meanVar(y []float64, idx []int) (mean, variance float64) {
 	return mean, variance
 }
 
-func featureSubset(nf int, frac float64, rng *rand.Rand) []int {
-	if frac <= 0 || frac >= 1 || rng == nil {
-		all := make([]int, nf)
-		for i := range all {
-			all[i] = i
-		}
-		return all
+// featureSubset draws the features one split examines: a random
+// sqrt(nf)/nf share of the nf features, rounded up, or the only one.
+func featureSubset(nf int, rng *rand.Rand) []int {
+	if nf == 1 {
+		return []int{0}
 	}
-	k := int(math.Ceil(frac * float64(nf)))
-	if k < 1 {
-		k = 1
-	}
-	perm := rng.Perm(nf)
-	return perm[:k]
+	frac := math.Sqrt(float64(nf)) / float64(nf)
+	return rng.Perm(nf)[:int(math.Ceil(frac*float64(nf)))]
 }

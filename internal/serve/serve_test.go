@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kb"
+	"repro/internal/strsim"
 	"repro/internal/webtable"
 	"repro/internal/world"
 )
@@ -345,6 +346,48 @@ func TestServeSearchDuringIngest(t *testing.T) {
 // TestServeNoOpIngestShortCircuit: a batch resolving to zero new tables
 // must not reach the engine — no epoch bump, no retained-state re-fusion —
 // so repeated empty requests cannot burn writer CPU for free.
+// TestServeReadsNeverIntern pins the premise that lets the process-wide
+// token interner go uncapped: the read endpoints never intern a token, so
+// only retained data (corpus, KB, ingests) grows it. Between two fresh
+// sentinel tokens, never-seen search queries (exact, fuzzy, class-filtered
+// and non-ASCII) and instance lookups must leave the interner untouched,
+// so the second sentinel's ID follows the first's directly. It runs
+// without t.Parallel and with no ingest in flight, so nothing else
+// interns in between.
+func TestServeReadsNeverIntern(t *testing.T) {
+	s, _ := newTestServer(t, "")
+	first := strsim.Intern(fmt.Sprintf("readsentinel%da", time.Now().UnixNano()))
+	for i := 0; i < 40; i++ {
+		var inst InstanceView
+		if code := do(t, s, http.MethodGet, fmt.Sprintf("/v1/instances/%d", i), "", &inst); code != http.StatusOK || len(inst.Labels) == 0 {
+			t.Fatalf("instance %d lookup = %d %+v", i, code, inst)
+		}
+		// Each query pairs fresh tokens with a known label, so it reaches
+		// postings, the fuzzy fallback and everything behind them.
+		label := inst.Labels[0]
+		for _, q := range []string{
+			fmt.Sprintf("%s vremtak%d", label, i),
+			fmt.Sprintf("%s Ünïcødé%d 東京%d", misspell(label), i, i),
+			fmt.Sprintf("quxzor%dplim", i),
+		} {
+			q = queryEscape(q)
+			if code := do(t, s, http.MethodGet, "/v1/search?q="+q, "", nil); code != http.StatusOK {
+				t.Fatalf("search %q = %d", q, code)
+			}
+			if code := do(t, s, http.MethodGet, "/v1/search?class=GF-Player&k=5&q="+q, "", nil); code != http.StatusOK {
+				t.Fatalf("class search %q = %d", q, code)
+			}
+		}
+	}
+	if code := do(t, s, http.MethodGet, "/v1/instances/999999999", "", nil); code != http.StatusNotFound {
+		t.Fatalf("missing instance lookup = %d", code)
+	}
+	second := strsim.Intern(fmt.Sprintf("readsentinel%db", time.Now().UnixNano()))
+	if second != first+1 {
+		t.Fatalf("reads interned %d tokens between the sentinels (IDs %d, %d)", second-first-1, first, second)
+	}
+}
+
 func TestServeNoOpIngestShortCircuit(t *testing.T) {
 	s, tables := newTestServer(t, "")
 

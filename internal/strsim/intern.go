@@ -14,13 +14,16 @@ import (
 // run. Memoized values are the exact floats the kernel computes, so
 // memoization can never change a result, only skip recomputing it.
 //
-// Memory: every cache here is capped, because the serving layer feeds
-// this package user-supplied strings (inline raw-table ingests), not just
-// the generated corpus. The interner stops assigning IDs at internCap
-// distinct tokens — internBytes then returns noTokenID and the Monge-Elkan
-// entry points fall back to the string kernels, which compute exactly the
-// same floats. The pair memo likewise stops inserting at memoShardCap per
-// shard and recomputes through the pooled kernel.
+// Memory: the interner is uncapped because the pipeline keeps what it
+// holds anyway. Every token the pipeline interns comes from retained data:
+// corpus cells and headers (inline raw-table ingests included, which stay
+// appended to the corpus), KB labels and facts, and labels derived from
+// those. A direct caller of MongeElkanSym or Prepare adds the tokens it
+// compares, for the process lifetime. The read endpoints never intern: instance search tokenizes its query with
+// Tokens and verifies fuzzy candidates with LevenshteinBounded, neither of
+// which touches the interner. The pair memo, which grows with the square
+// of the vocabulary, stops inserting at memoShardCap per shard and
+// recomputes through the pooled kernel.
 
 var interner = struct {
 	mu   sync.RWMutex
@@ -28,17 +31,8 @@ var interner = struct {
 	toks []string
 }{ids: make(map[string]int32, 1024)}
 
-// noTokenID marks a token the interner declined to intern (cap reached).
-// Callers seeing it must fall back to the string kernels.
-const noTokenID = int32(-1)
-
-// internCap bounds the distinct tokens the interner will hold (a var so
-// tests can exercise the overflow fallback without a million inserts).
-var internCap = int32(1 << 20)
-
 // internBytes returns the ID of the token spelled by b, interning it on
-// first sight, or noTokenID once the interner is full. The read path does
-// a no-allocation map lookup.
+// first sight. The read path does a no-allocation map lookup.
 func internBytes(b []byte) int32 {
 	interner.mu.RLock()
 	id, ok := interner.ids[string(b)]
@@ -46,49 +40,29 @@ func internBytes(b []byte) int32 {
 	if ok {
 		return id
 	}
-	return internString(string(b))
+	return Intern(string(b))
 }
 
 // Intern returns the process-wide intern ID of an (already normalized)
-// token, interning it on first sight; ok is false once the interner is
-// full. IDs are stable for the process lifetime but depend on call
-// history, so they may only key caches — never persisted state or values
-// that must agree across processes.
-func Intern(tok string) (id int32, ok bool) {
-	id = internString(tok)
-	return id, id != noTokenID
-}
-
-// internString is internBytes for an already-materialized string.
-func internString(s string) int32 {
+// token, interning it on first sight. IDs are stable for the process
+// lifetime but depend on call history, so they may only key caches —
+// never persisted state or values that must agree across processes.
+func Intern(tok string) int32 {
 	interner.mu.RLock()
-	id, ok := interner.ids[s]
+	id, ok := interner.ids[tok]
 	interner.mu.RUnlock()
 	if ok {
 		return id
 	}
 	interner.mu.Lock()
 	defer interner.mu.Unlock()
-	if id, ok := interner.ids[s]; ok {
+	if id, ok := interner.ids[tok]; ok {
 		return id
 	}
-	if int32(len(interner.toks)) >= internCap {
-		return noTokenID
-	}
 	id = int32(len(interner.toks))
-	interner.toks = append(interner.toks, s)
-	interner.ids[s] = id
+	interner.toks = append(interner.toks, tok)
+	interner.ids[tok] = id
 	return id
-}
-
-// hasNoID reports whether any token in ids overflowed the interner.
-func hasNoID(ids []int32) bool {
-	for _, id := range ids {
-		if id == noTokenID {
-			return true
-		}
-	}
-	return false
 }
 
 // tokenOf returns the interned token for an ID.

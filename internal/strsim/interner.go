@@ -3,11 +3,10 @@ package strsim
 // Interner is an instantiable raw-string intern pool: every distinct
 // string gets a dense int32 ID that round-trips byte-exactly through
 // Lookup. It complements the process-wide token interner of intern.go,
-// which holds normalized tokens for the similarity kernels and may refuse
-// entries once full — an Interner is owned by one data structure (the
-// columnar KB store interns instance labels and fact strings through
-// one), is uncapped because the owner controls what enters it, and keeps
-// exact spellings rather than normalized forms.
+// which holds normalized tokens for the similarity kernels: an Interner
+// is owned by one data structure (the columnar KB store interns instance
+// labels and fact strings through one), lives and dies with its owner,
+// and keeps exact spellings rather than normalized forms.
 //
 // An Interner does no locking of its own: the owner synchronizes access,
 // calling Intern only under its write lock and Lookup/Len/Bytes under at

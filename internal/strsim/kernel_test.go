@@ -1,7 +1,6 @@
 package strsim
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -76,44 +75,22 @@ func TestLevenshteinSimMatchesRef(t *testing.T) {
 	}
 }
 
-// TestLevenshteinSimBounded proves the bounded kernel's contract: above
-// the floor it returns exactly the reference similarity; at or below the
-// floor it returns some value ≤ floor (so a best-candidate search keeps
-// exactly the winners the unbounded kernel would).
-func TestLevenshteinSimBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	floors := []float64{-0.5, 0, 0.25, 0.5, 0.8, 0.95, 1}
-	for i := 0; i < 5000; i++ {
-		a, b := randPair(rng)
-		ref := levenshteinSimRef(a, b)
-		for _, floor := range floors {
-			got := LevenshteinSimBounded(a, b, floor)
-			if ref > floor {
-				if got != ref {
-					t.Fatalf("LevenshteinSimBounded(%q, %q, %v) = %v, want exact ref %v", a, b, floor, got, ref)
-				}
-			} else if got > floor {
-				t.Fatalf("LevenshteinSimBounded(%q, %q, %v) = %v > floor but ref %v <= floor", a, b, floor, got, ref)
-			}
-		}
-	}
-}
-
-// TestLevenshteinBounded proves the distance form of the bounded kernel:
-// exact when within max, max+1-capped otherwise.
+// TestLevenshteinBounded proves the bounded kernel: exact when within
+// max, max+1-capped otherwise, with a negative max counting as 0 (so
+// different strings never read as equal).
 func TestLevenshteinBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 5000; i++ {
 		a, b := randPair(rng)
 		ref := levenshteinRef(a, b)
-		for _, max := range []int{0, 1, 2, 5, 30} {
-			got := LevenshteinBounded(a, b, max)
-			if ref <= max {
+		for _, m := range []int{-1, 0, 1, 2, 5, 30} {
+			got, k := LevenshteinBounded(a, b, m), max(m, 0)
+			if ref <= k {
 				if got != ref {
-					t.Fatalf("LevenshteinBounded(%q, %q, %d) = %d, want exact %d", a, b, max, got, ref)
+					t.Fatalf("LevenshteinBounded(%q, %q, %d) = %d, want exact %d", a, b, m, got, ref)
 				}
-			} else if got != max+1 {
-				t.Fatalf("LevenshteinBounded(%q, %q, %d) = %d, want %d (ref %d)", a, b, max, got, max+1, ref)
+			} else if got != k+1 {
+				t.Fatalf("LevenshteinBounded(%q, %q, %d) = %d, want %d (ref %d)", a, b, m, got, k+1, ref)
 			}
 		}
 	}
@@ -122,8 +99,7 @@ func TestLevenshteinBounded(t *testing.T) {
 // FuzzEditDistance checks the edit-distance kernels against the
 // references on arbitrary byte strings: invalid UTF-8, long ASCII runs and
 // mixed scripts, which the generators above never produce. k bounds
-// LevenshteinBounded and picks a LevenshteinSimBounded floor; the true
-// similarity is also tried as a floor, the edge of that contract.
+// LevenshteinBounded as given, negative and huge values included.
 func FuzzEditDistance(f *testing.F) {
 	f.Add("", "", 0)
 	f.Add("kitten", "sitting", 2)
@@ -133,34 +109,25 @@ func FuzzEditDistance(f *testing.F) {
 	f.Add("ab\x80cd", "abcd", 0)
 	f.Add(strings.Repeat("a", 300), strings.Repeat("a", 298)+"bb", 5)
 	f.Add("ελληνικά abc", "Ελληνικα abd", 40)
+	f.Add("ab", "ba", -1)
 	f.Fuzz(func(t *testing.T, a, b string, k int) {
 		if len(a) > 512 || len(b) > 512 {
 			t.Skip("the reference DP is quadratic")
 		}
-		if k < 0 {
-			k = -(k + 1)
-		}
-		k %= 64
 		ref := levenshteinRef(a, b)
 		if got := Levenshtein(a, b); got != ref {
 			t.Fatalf("Levenshtein(%q, %q) = %d, ref %d", a, b, got, ref)
 		}
-		sim := levenshteinSimRef(a, b)
-		if got := LevenshteinSim(a, b); got != sim {
-			t.Fatalf("LevenshteinSim(%q, %q) = %v, ref %v", a, b, got, sim)
+		if got, want := LevenshteinSim(a, b), levenshteinSimRef(a, b); got != want {
+			t.Fatalf("LevenshteinSim(%q, %q) = %v, ref %v", a, b, got, want)
 		}
-		want := min(ref, k+1)
+		// min(ref, max(k, 0)+1), without overflowing at the largest k.
+		want := ref
+		if kk := max(k, 0); kk < ref {
+			want = kk + 1
+		}
 		if got := LevenshteinBounded(a, b, k); got != want {
 			t.Fatalf("LevenshteinBounded(%q, %q, %d) = %d, want %d (ref %d)", a, b, k, got, want, ref)
-		}
-		for _, floor := range []float64{float64(k%12)/10 - 0.1, sim} {
-			got := LevenshteinSimBounded(a, b, floor)
-			if sim > floor && got != sim {
-				t.Fatalf("LevenshteinSimBounded(%q, %q, %v) = %v, want exact ref %v", a, b, floor, got, sim)
-			}
-			if sim <= floor && got > floor {
-				t.Fatalf("LevenshteinSimBounded(%q, %q, %v) = %v > floor but ref %v <= floor", a, b, floor, got, sim)
-			}
 		}
 	})
 }
@@ -252,39 +219,6 @@ func TestMemoIsExact(t *testing.T) {
 	}
 }
 
-// TestInternerCapFallback fills the interner to its cap and proves the
-// string-kernel fallback (taken for tokens the interner declines) still
-// returns bit-exact reference values, that the interner stops growing,
-// and that bounded-kernel pruning inside the fallback does not change
-// maxima.
-func TestInternerCapFallback(t *testing.T) {
-	interner.mu.RLock()
-	used := int32(len(interner.toks))
-	interner.mu.RUnlock()
-	old := internCap
-	internCap = used // every new token overflows from here on
-	defer func() { internCap = old }()
-
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 1000; i++ {
-		// Fresh random strings: most tokens will be new, hence refused.
-		a, b := randPair(rng)
-		if got, want := MongeElkanSym(a, b), mongeElkanSymRef(a, b); got != want {
-			t.Fatalf("capped MongeElkanSym(%q, %q) = %v, ref %v", a, b, got, want)
-		}
-		pa, pb := Prepare(a), Prepare(b)
-		if got, want := pa.MongeElkanSym(pb), mongeElkanSymRef(a, b); got != want {
-			t.Fatalf("capped prepared MongeElkanSym(%q, %q) = %v, ref %v", a, b, got, want)
-		}
-	}
-	interner.mu.RLock()
-	grown := int32(len(interner.toks))
-	interner.mu.RUnlock()
-	if grown > used {
-		t.Fatalf("interner grew past its cap: %d -> %d", used, grown)
-	}
-}
-
 func TestPrepareCachedReturnsSamePointer(t *testing.T) {
 	p1 := PrepareCached("Some Label 42")
 	p2 := PrepareCached("Some Label 42")
@@ -311,11 +245,11 @@ func randTokenLabel(rng *rand.Rand, maxTokens int) string {
 }
 
 // TestMongeElkanSymSinglePassMatchesRef proves the single-pass symmetric
-// kernel bit-identical to averaging the two directed reference passes, on
-// the interned path (string entry point and prepared labels) and on the
-// non-interned string fallback. Labels run from empty to beyond
-// symStackTokens tokens on either side, so the heap-buffer path and the
-// rectangular shapes in both orientations are covered.
+// kernel bit-identical to averaging the two directed reference passes,
+// through the string entry point and through prepared labels. Labels run
+// from empty to beyond symStackTokens tokens on either side, so the
+// heap-buffer path and the rectangular shapes in both orientations are
+// covered.
 func TestMongeElkanSymSinglePassMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	type pair struct{ a, b string }
@@ -329,38 +263,59 @@ func TestMongeElkanSymSinglePassMatchesRef(t *testing.T) {
 		pairs = append(pairs, pair{a, b})
 	}
 	long := 0
-	check := func(kernel string) {
-		for _, p := range pairs {
-			want := mongeElkanSymRef(p.a, p.b)
-			if got := MongeElkanSym(p.a, p.b); got != want {
-				t.Fatalf("%s MongeElkanSym(%q, %q) = %v, ref %v", kernel, p.a, p.b, got, want)
-			}
-			if got := Prepare(p.a).MongeElkanSym(Prepare(p.b)); got != want {
-				t.Fatalf("%s prepared MongeElkanSym(%q, %q) = %v, ref %v", kernel, p.a, p.b, got, want)
-			}
-			if len(Tokens(p.b)) > symStackTokens {
-				long++
-			}
+	for _, p := range pairs {
+		want := mongeElkanSymRef(p.a, p.b)
+		if got := MongeElkanSym(p.a, p.b); got != want {
+			t.Fatalf("MongeElkanSym(%q, %q) = %v, ref %v", p.a, p.b, got, want)
+		}
+		if got := Prepare(p.a).MongeElkanSym(Prepare(p.b)); got != want {
+			t.Fatalf("prepared MongeElkanSym(%q, %q) = %v, ref %v", p.a, p.b, got, want)
+		}
+		if len(Tokens(p.b)) > symStackTokens {
+			long++
 		}
 	}
-	check("interned")
-
-	interner.mu.RLock()
-	used := int32(len(interner.toks))
-	interner.mu.RUnlock()
-	old := internCap
-	internCap = used
-	defer func() { internCap = old }()
-	// Fresh tokens now overflow the interner, so these pairs take the
-	// string fallback.
-	for i := range pairs {
-		pairs[i].a += fmt.Sprintf(" fresh%dx", i)
-		if i%2 == 0 {
-			pairs[i].b += fmt.Sprintf(" fresh%dy", i)
-		}
-	}
-	check("fallback")
 	if long == 0 {
 		t.Fatal("no pair exercised the heap column buffer")
 	}
+}
+
+// FuzzMongeElkanSym checks every Monge-Elkan entry point against the
+// reference on arbitrary strings (invalid UTF-8 and mixed scripts
+// included): the string kernel, prepared labels and the prepared-label
+// cache must each equal mongeElkanSymRef bit for bit, in both argument
+// orders.
+func FuzzMongeElkanSym(f *testing.F) {
+	f.Add("", "")
+	f.Add("tom brady", "brady tom")
+	f.Add("Tom  Brady!", "tom-brady")
+	f.Add("züñ東京 abc", "zun 東 abd")
+	f.Add("\xff\xfe ab", "ab\x80cd")
+	f.Add("ελληνικά Abc", "Ελληνικα ABD")
+	f.Add(strings.Repeat("tom brady ", 20), "tom")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if len(a) > 256 || len(b) > 256 {
+			t.Skip("the reference is quadratic in tokens and in runes")
+		}
+		want := mongeElkanSymRef(a, b)
+		if back := mongeElkanSymRef(b, a); back != want {
+			t.Fatalf("reference not symmetric on (%q, %q): %v vs %v", a, b, want, back)
+		}
+		kernels := []struct {
+			name string
+			sim  func(x, y string) float64
+		}{
+			{"MongeElkanSym", MongeElkanSym},
+			{"Prepare.MongeElkanSym", func(x, y string) float64 { return Prepare(x).MongeElkanSym(Prepare(y)) }},
+			{"MongeElkanSymCached", MongeElkanSymCached},
+		}
+		for _, k := range kernels {
+			if got := k.sim(a, b); got != want {
+				t.Fatalf("%s(%q, %q) = %v, ref %v", k.name, a, b, got, want)
+			}
+			if got := k.sim(b, a); got != want {
+				t.Fatalf("%s(%q, %q) = %v, ref %v (swapped)", k.name, b, a, got, want)
+			}
+		}
+	})
 }

@@ -46,10 +46,13 @@ func LevenshteinSim(a, b string) float64 {
 // at most max, and max+1 otherwise. The banded dynamic program touches
 // only a 2·max+1 wide diagonal strip and abandons early, so "is the
 // distance ≤ 1?" checks (the fuzzy index verification) cost O(n) instead
-// of O(n²). max must be ≥ 0.
+// of O(n²). A negative max counts as 0.
 func LevenshteinBounded(a, b string, max int) int {
 	if a == b {
 		return 0
+	}
+	if max < 0 {
+		max = 0
 	}
 	sc := levPool.Get().(*levScratch)
 	defer levPool.Put(sc)
@@ -59,51 +62,6 @@ func LevenshteinBounded(a, b string, max int) int {
 		return d
 	}
 	return sc.distBounded(a, b, la, lb, max)
-}
-
-// LevenshteinSimBounded is LevenshteinSim for best-candidate searches: it
-// abandons pairs that cannot beat floor. When the true similarity exceeds
-// floor the exact LevenshteinSim value is returned; otherwise the result
-// is some value ≤ floor (not necessarily the true similarity). Callers
-// keeping a running best use it as
-//
-//	if s := LevenshteinSimBounded(a, b, best); s > best { best = s }
-//
-// The bound turns into a banded dynamic program (band width shrinks as
-// floor rises) with an early exit once every path through the band is too
-// expensive, so high floors cost O(k·n) instead of O(n²).
-func LevenshteinSimBounded(a, b string, floor float64) float64 {
-	if a == b {
-		return 1
-	}
-	if floor >= 1 {
-		return floor
-	}
-	sc := levPool.Get().(*levScratch)
-	defer levPool.Put(sc)
-	if floor < 0 {
-		d, la, lb := sc.dist(a, b)
-		return simOf(d, la, lb)
-	}
-	la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
-	m := max(la, lb)
-	if m == 0 {
-		return 1
-	}
-	// Any distance d with 1 − d/m > floor satisfies d ≤ k for this k
-	// (one more than the exact cutoff, absorbing float rounding), so a
-	// banded result of "> k" proves the similarity is strictly below
-	// floor.
-	k := int((1-floor)*float64(m)) + 1
-	if k >= m {
-		d, _, _ := sc.dist(a, b)
-		return simOf(d, la, lb)
-	}
-	d := sc.distBounded(a, b, la, lb, k)
-	if d > k {
-		return floor
-	}
-	return simOf(d, la, lb)
 }
 
 func simOf(d, la, lb int) float64 {

@@ -20,9 +20,7 @@ type PreparedLabel struct {
 	Norm string
 	// Tokens are the normalized tokens of Raw.
 	Tokens []string
-	// ids are the interned token IDs, parallel to Tokens; nil when the
-	// interner was full (the similarity methods then run the string
-	// kernels, which compute exactly the same values).
+	// ids are the interned token IDs, parallel to Tokens.
 	ids []int32
 	// vec is the sorted binary term vector over Tokens with its norm
 	// cached (identical to ToSparse(BinaryTermVector(Raw))).
@@ -36,15 +34,9 @@ func Prepare(s string) *PreparedLabel {
 		p.Tokens = strings.Fields(p.Norm)
 	}
 	if len(p.Tokens) > 0 {
-		ids := make([]int32, len(p.Tokens))
-		interned := true
+		p.ids = make([]int32, len(p.Tokens))
 		for i, t := range p.Tokens {
-			if ids[i] = internString(t); ids[i] == noTokenID {
-				interned = false
-			}
-		}
-		if interned {
-			p.ids = ids
+			p.ids[i] = Intern(t)
 		}
 		uniq := make([]string, len(p.Tokens))
 		copy(uniq, p.Tokens)
@@ -99,18 +91,8 @@ func TermCosine(x, y string) float64 {
 	return CosineSparse(PrepareCached(x).vec, PrepareCached(y).vec)
 }
 
-// interned reports whether both labels carry interned IDs (empty labels
-// have no IDs but also nothing to compare; treat them as interned so the
-// empty/empty and empty/non-empty cases take the ID path's edge handling).
-func bothInterned(p, q *PreparedLabel) bool {
-	return (p.ids != nil || len(p.Tokens) == 0) && (q.ids != nil || len(q.Tokens) == 0)
-}
-
 // MongeElkanSym returns the symmetrized Monge-Elkan similarity, exactly
 // equal to MongeElkanSym(p.Raw, q.Raw).
 func (p *PreparedLabel) MongeElkanSym(q *PreparedLabel) float64 {
-	if bothInterned(p, q) {
-		return mongeElkanSymIDs(p.ids, q.ids)
-	}
-	return mongeElkanSymStrs(p.Tokens, q.Tokens)
+	return mongeElkanSymIDs(p.ids, q.ids)
 }

@@ -16,14 +16,15 @@
 //     decoding, others as runes decoded into pooled buffers. DP rows are
 //     pooled, common prefixes/suffixes trimmed, and rune lengths computed
 //     once and shared between the distance and its normalization.
-//   - LevenshteinBounded and LevenshteinSimBounded run the one banded DP
-//     for bounded checks and best-candidate searches: it abandons pairs
-//     that cannot beat the caller's floor (or max distance), so high
-//     floors cost O(k·n) instead of O(n²).
-//   - MongeElkanSym runs on interned token IDs in one pass over the
-//     token-pair matrix, with a sharded memo of token-pair similarities:
-//     the corpus vocabulary is heavy-tailed, so the same token pairs recur
-//     millions of times.
+//   - LevenshteinBounded runs the banded DP for bounded checks: it
+//     abandons pairs whose distance exceeds the caller's max, so "within
+//     distance k?" costs O(k·n) instead of O(n²).
+//   - MongeElkanSym has one kernel: it runs on interned token IDs in one
+//     pass over the token-pair matrix, with a sharded memo of token-pair
+//     similarities. The corpus vocabulary is heavy-tailed, so the same
+//     token pairs recur millions of times. The token interner is uncapped
+//     (every token it holds comes from data the process keeps), so every
+//     label has IDs and no string fallback exists.
 //   - PreparedLabel (via Prepare or the process-wide PrepareCached)
 //     normalizes, tokenizes, interns, and vectorizes a label exactly once
 //     per lifetime; use it whenever the same string is compared more than
