@@ -103,6 +103,44 @@ func TestIngestCancelledCommitsNothing(t *testing.T) {
 	}
 }
 
+// TestIngestCancelStopsAtStageBoundary pins the checkpoint at every stage
+// boundary: an Ingest cancelled from a first-iteration stage's start event
+// fires no later event, returns context.Canceled and commits nothing, even
+// when the cancelled stage itself has no checkpoint of its own.
+func TestIngestCancelStopsAtStageBoundary(t *testing.T) {
+	w, corpus := fixture()
+	tables := classify(w.KB, corpus)[kb.ClassGFPlayer]
+	for _, stage := range []Stage{StageMatch, StageBuild, StageCluster, StageFuse} {
+		t.Run(string(stage), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(t.Context())
+			defer cancel()
+			var events []Event
+			cfg := DefaultConfig(w.KB, corpus, kb.ClassGFPlayer)
+			cfg.Progress = func(ev Event) {
+				events = append(events, ev)
+				if ev.Stage == stage && ev.Iteration == 1 {
+					cancel()
+				}
+			}
+			eng := NewEngine(cfg, Models{})
+			kbVer := w.KB.Version()
+			out, stats, err := eng.Ingest(ctx, tables)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if last := events[len(events)-1]; last.Stage != stage || last.Iteration != 1 {
+				t.Fatalf("events after cancel at %s/it1: %+v", stage, events)
+			}
+			if out != nil || stats != (IngestStats{}) || eng.Epoch() != 0 || eng.Last() != nil || len(eng.History()) != 0 {
+				t.Fatalf("cancelled ingest committed: out=%v stats=%+v epoch=%d", out, stats, eng.Epoch())
+			}
+			if w.KB.Version() != kbVer {
+				t.Fatal("cancelled ingest wrote to the KB")
+			}
+		})
+	}
+}
+
 // TestIngestCancelledLaterEpoch cancels later epochs of a write-back
 // engine, where retained clusters exist, the KB has grown and the entity
 // and detection memo is live. Each later epoch is cancelled on a fork at

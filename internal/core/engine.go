@@ -493,9 +493,6 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 	var grown *cluster.Incremental
 	ran := 0
 	for it := 0; it < e.Cfg.Iterations; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, IngestStats{}, err
-		}
 		model, matchers, mctx := e.passInputs(mc, out)
 		next, err := e.matchBatch(ctx, it+1, mctx, model, matchers, newIDs)
 		if err != nil {
@@ -584,6 +581,9 @@ func (e *Engine) passInputs(mc *match.Context, prev *Output) (*match.Model, []ma
 // Cancellation mid-pass abandons it before anything is committed; see
 // Ingest for the consistency argument.
 func (e *Engine) matchBatch(ctx context.Context, it int, mctx *match.Context, model *match.Model, matchers []match.Matcher, newIDs []int) (*Output, error) {
+	if err := e.stage(ctx, it, StageMatch, len(newIDs)); err != nil {
+		return nil, err
+	}
 	prev := e.retained()
 	allIDs := sortedTableIDs(append(append([]int(nil), prev.TableIDs...), newIDs...))
 	out := &Output{
@@ -602,7 +602,6 @@ func (e *Engine) matchBatch(ctx context.Context, it int, mctx *match.Context, mo
 	// fanned out over the worker pool. Every worker writes only its own
 	// slot; the reduction below runs serially in table order, so the
 	// parallel path emits exactly what the serial one would.
-	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageMatch, Count: len(newIDs)})
 	scoredByTable, err := par.MapCtx(ctx, e.Cfg.Workers, newIDs, func(_, tid int) map[int]match.Correspondence {
 		t := e.Cfg.Corpus.Table(tid)
 		if t == nil {
@@ -666,7 +665,9 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 	// A later iteration re-adds the same batch, which leaves the model's
 	// generation, and so the vectors and the epoch's cached scores, as
 	// they were.
-	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageBuild, Count: len(newIDs)})
+	if err := e.stage(ctx, it, StageBuild, len(newIDs)); err != nil {
+		return nil, err
+	}
 	builder := &cluster.Builder{
 		KB: e.Cfg.KB, Corpus: e.Cfg.Corpus, Class: e.Cfg.Class,
 		Mapping: out.Mapping,
@@ -687,7 +688,9 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 	// batch's rows (the clone keeps the persistent baseline intact while
 	// the epoch's iterations each re-cluster the batch under a refined
 	// mapping).
-	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageCluster, Count: len(newRows)})
+	if err := e.stage(ctx, it, StageCluster, len(newRows)); err != nil {
+		return nil, err
+	}
 	grown := e.clusters.Clone()
 	if err := grown.Add(ctx, newRows, cache); err != nil {
 		return nil, err
@@ -695,10 +698,9 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 	out.Clustering = grown.Result()
 
 	// Entity creation over every cluster, retained and new.
-	if err := ctx.Err(); err != nil {
+	if err := e.stage(ctx, it, StageFuse, len(out.Clustering.Clusters)); err != nil {
 		return nil, err
 	}
-	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageFuse, Count: len(out.Clustering.Clusters)})
 	src := &fusion.Sources{
 		KB: e.Cfg.KB, Corpus: e.Cfg.Corpus, Class: e.Cfg.Class,
 		Mapping:     out.Mapping,
@@ -712,7 +714,9 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 	// New detection: memoized like entity creation; the misses classify
 	// independently on the pool, and RowInstance is then assembled serially
 	// in entity order.
-	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageDetect, Count: len(out.Entities)})
+	if err := e.stage(ctx, it, StageDetect, len(out.Entities)); err != nil {
+		return nil, err
+	}
 	if err := e.detectEntities(ctx, out, keys); err != nil {
 		return nil, err
 	}
@@ -724,6 +728,17 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 		}
 	}
 	return grown, nil
+}
+
+// stage is the boundary before stage s of iteration it. It returns ctx's
+// error once the epoch is cancelled, so a cancelled epoch fires no later
+// event, and otherwise emits the stage's start event with count units.
+func (e *Engine) stage(ctx context.Context, it int, s Stage, count int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: s, Count: count})
+	return nil
 }
 
 // createEntities is fusion.CreateAll with a memo over cluster membership: a

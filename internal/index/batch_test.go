@@ -32,44 +32,46 @@ func batchCorpus(rng *rand.Rand, n int) []Entry {
 }
 
 // TestAddBatchEquivalentToAdds proves AddBatch produces byte-identical
-// internal state to the same entries applied through serial Adds — postings,
-// document frequencies, LSH buckets, and every sharded deletion
-// neighborhood list, regardless of worker count.
+// internal state to the same entries applied through one-by-one Adds —
+// postings, document frequencies, labels, LSH buckets, and every deletion
+// neighborhood list.
 func TestAddBatchEquivalentToAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	entries := batchCorpus(rng, 300)
-	serial := New()
+	batched := New()
+	batched.AddBatch(entries)
+	if err := sameState(addOneByOne(entries), batched); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// addOneByOne builds an index from entries through one Add per entry.
+func addOneByOne(entries []Entry) *Index {
+	ix := New()
 	for _, e := range entries {
-		serial.Add(e.Doc, e.Label)
+		ix.Add(e.Doc, e.Label)
 	}
-	for _, workers := range []int{1, 4, 16} {
-		batched := New()
-		batched.AddBatch(entries, workers)
-		if !reflect.DeepEqual(serial.postings, batched.postings) {
-			t.Fatalf("workers=%d: postings differ", workers)
-		}
-		if !reflect.DeepEqual(serial.docFreq, batched.docFreq) {
-			t.Fatalf("workers=%d: docFreq differs", workers)
-		}
-		if !reflect.DeepEqual(serial.labels, batched.labels) {
-			t.Fatalf("workers=%d: labels differ", workers)
-		}
-		if !reflect.DeepEqual(serial.lsh, batched.lsh) {
-			t.Fatalf("workers=%d: LSH buckets differ", workers)
-		}
-		if serial.numDocs != batched.numDocs {
-			t.Fatalf("workers=%d: numDocs %d vs %d", workers, serial.numDocs, batched.numDocs)
-		}
-		for s := range serial.delNeighbors {
-			a, b := serial.delNeighbors[s], batched.delNeighbors[s]
-			if len(a) == 0 && len(b) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("workers=%d: deletion shard %d differs", workers, s)
-			}
-		}
+	return ix
+}
+
+// sameState reports the first internal structure in which two indexes
+// differ, or nil if they hold the same state.
+func sameState(want, got *Index) error {
+	switch {
+	case !reflect.DeepEqual(want.postings, got.postings):
+		return fmt.Errorf("postings differ")
+	case !reflect.DeepEqual(want.docFreq, got.docFreq):
+		return fmt.Errorf("docFreq differs")
+	case !reflect.DeepEqual(want.labels, got.labels):
+		return fmt.Errorf("labels differ")
+	case !reflect.DeepEqual(want.lsh, got.lsh):
+		return fmt.Errorf("LSH buckets differ")
+	case !reflect.DeepEqual(want.delNeighbors, got.delNeighbors):
+		return fmt.Errorf("deletion neighborhoods differ")
+	case want.numDocs != got.numDocs:
+		return fmt.Errorf("numDocs %d vs %d", want.numDocs, got.numDocs)
 	}
+	return nil
 }
 
 // TestAddBatchThenAdd proves a batch build composes with later incremental
@@ -77,12 +79,9 @@ func TestAddBatchEquivalentToAdds(t *testing.T) {
 func TestAddBatchThenAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	entries := batchCorpus(rng, 200)
-	serial := New()
-	for _, e := range entries {
-		serial.Add(e.Doc, e.Label)
-	}
+	serial := addOneByOne(entries)
 	mixed := New()
-	mixed.AddBatch(entries[:150], 8)
+	mixed.AddBatch(entries[:150])
 	for _, e := range entries[150:] {
 		mixed.Add(e.Doc, e.Label)
 	}
@@ -264,14 +263,14 @@ func TestCloneIndependent(t *testing.T) {
 		moved[i] = Entry{Doc: e.Doc + 1000, Label: e.Label}
 	}
 	ix := New()
-	ix.AddBatch(base, 4)
+	ix.AddBatch(base)
 	cl := ix.Clone()
 	// Grow both sides at once: they share backing arrays, so the race
 	// detector checks that neither writes into the other's view.
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); ix.AddBatch(grown, 4) }()
-	go func() { defer wg.Done(); cl.AddBatch(moved, 4) }()
+	go func() { defer wg.Done(); ix.AddBatch(grown) }()
+	go func() { defer wg.Done(); cl.AddBatch(moved) }()
 	wg.Wait()
 	for _, c := range []struct {
 		name    string
@@ -279,7 +278,7 @@ func TestCloneIndependent(t *testing.T) {
 		entries []Entry
 	}{{"original", ix, entries}, {"clone", cl, append(base, moved...)}} {
 		want := New()
-		want.AddBatch(c.entries, 4)
+		want.AddBatch(c.entries)
 		for _, e := range entries {
 			if !reflect.DeepEqual(c.got.Search(e.Label, 10), want.Search(e.Label, 10)) {
 				t.Fatalf("%s: Search(%q) differs from a fresh build", c.name, e.Label)

@@ -148,6 +148,47 @@ func TestFuzzyUnicodeRecall(t *testing.T) {
 	}
 }
 
+// FuzzFuzzyMatches holds the deletion neighborhood to its references on
+// arbitrary vocabularies: labels (one per line, several per document) are
+// added in one AddBatch, which must leave the state one-by-one Adds leave;
+// Search must equal the scan-based reference search; and fuzzyMatches must
+// equal the vocabulary scan for every query token Search would send to the
+// fuzzy fallback. testdata/fuzz holds seeds with invalid UTF-8 and
+// multi-byte runes.
+func FuzzFuzzyMatches(f *testing.F) {
+	f.Add("tom brady\ntom brody\nbrady bunch", "tom bardy")
+	f.Add("tokyo sights\ntok東yo tower", "tokayo tower")
+	f.Add("café racer\ncafe society\ncafés", "cafe racers")
+	f.Add("aaaa\naaab\naabb\nabab", "aaba bbbb")
+	f.Fuzz(func(t *testing.T, labels, query string) {
+		if len(labels) > 4096 || len(query) > 256 {
+			t.Skip("the references scan the whole vocabulary per token")
+		}
+		var entries []Entry
+		for i, l := range strings.Split(labels, "\n") {
+			entries = append(entries, Entry{Doc: i % 7, Label: l})
+		}
+		ix := New()
+		ix.AddBatch(entries)
+		if err := sameState(addOneByOne(entries), ix); err != nil {
+			t.Fatalf("AddBatch vs one-by-one Adds: %v", err)
+		}
+		if got, want := ix.Search(query, 10), refSearch(ix, query, 10); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Search(%q) = %+v, reference = %+v", query, got, want)
+		}
+		ix.mu.RLock()
+		defer ix.mu.RUnlock()
+		for _, q := range strsim.Tokens(query) {
+			if _, exact := ix.postings[q]; exact || len(q) < minFuzzyQueryLen {
+				continue // Search would not fall back for this token
+			}
+			if fast, slow := ix.fuzzyMatches(q), scanFuzzy(ix, q); !slices.Equal(fast, slow) {
+				t.Fatalf("fuzzyMatches(%q) = %v, scan = %v", q, fast, slow)
+			}
+		}
+	})
+}
+
 // BenchmarkFuzzySearch measures a fuzzy (misspelled-token) search at a
 // realistic vocabulary size.
 func BenchmarkFuzzySearch(b *testing.B) {

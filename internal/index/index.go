@@ -12,7 +12,6 @@ package index
 
 import (
 	"cmp"
-	"context"
 	"maps"
 	"slices"
 	"sort"
@@ -21,7 +20,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/lsh"
-	"repro/internal/par"
 	"repro/internal/strsim"
 )
 
@@ -51,27 +49,10 @@ type Index struct {
 	// same variant on a substitution), so a query token reaches its
 	// distance-1 vocabulary in O(|token|) map lookups plus a
 	// bounded-Levenshtein verification per candidate — instead of
-	// scanning every near-length vocabulary token.
-	//
-	// The index is sharded by the variant's first byte so AddBatch can
-	// build it in parallel: each worker owns a disjoint set of shards, so
-	// no shard is ever written by two goroutines. Shards need no locks of
-	// their own — ix.mu already excludes every reader while any writer
-	// (Add, AddBatch) holds the write lock.
-	delNeighbors [delShardCount]map[string][]string
+	// scanning every near-length vocabulary token. Each list holds its
+	// tokens in vocabulary discovery order.
+	delNeighbors map[string][]string
 	numDocs      int
-}
-
-// delShardCount is the number of first-byte shards of delNeighbors.
-const delShardCount = 256
-
-// delShardOf returns the shard index of a deletion variant (the empty
-// variant of single-rune tokens lands in shard 0).
-func delShardOf(v string) int {
-	if len(v) == 0 {
-		return 0
-	}
-	return int(v[0])
 }
 
 // minFuzzyQueryLen is the minimum query-token byte length for the fuzzy
@@ -86,33 +67,30 @@ type posting struct {
 // New returns an empty index.
 func New() *Index {
 	return &Index{
-		postings: make(map[string][]posting),
-		docFreq:  make(map[string]int),
-		labels:   make(map[int][][]string),
-		lsh:      lsh.NewIndex(),
+		postings:     make(map[string][]posting),
+		docFreq:      make(map[string]int),
+		labels:       make(map[int][][]string),
+		lsh:          lsh.NewIndex(),
+		delNeighbors: make(map[string][]string),
 	}
 }
 
 // Add indexes label under the document ID doc.
 func (ix *Index) Add(doc int, label string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for _, t := range ix.post(nil, doc, label) {
-		ix.indexDeletions(t)
-	}
+	ix.AddBatch([]Entry{{Doc: doc, Label: label}})
 }
 
 // post files one label under doc — its tokens, its LSH buckets, and a tf
-// posting and document-frequency count per distinct token — and
-// appends the tokens new to the vocabulary to dst. Tokens are posted in
-// sorted order, so the vocabulary's discovery order (which fixes the
-// deletion-neighborhood lists) never inherits Go's randomized map
-// iteration. The caller holds the write lock.
-func (ix *Index) post(dst []string, doc int, label string) []string {
+// posting and document-frequency count per distinct token — and files
+// each token new to the vocabulary in the deletion neighborhood. Tokens
+// are posted in sorted order, so the vocabulary's discovery order (which
+// fixes the deletion-neighborhood lists) never inherits Go's randomized
+// map iteration. The caller holds the write lock.
+func (ix *Index) post(doc int, label string) {
 	norm := strsim.Normalize(label)
 	toks := strings.Fields(norm)
 	if len(toks) == 0 {
-		return dst
+		return
 	}
 	counts := make(map[string]int, len(toks))
 	for _, t := range toks {
@@ -135,11 +113,10 @@ func (ix *Index) post(dst []string, doc int, label string) []string {
 			ix.docFreq[t]++
 		}
 		if len(ps) == 0 {
-			dst = append(dst, t)
+			ix.indexDeletions(t)
 		}
 		ix.postings[t] = append(ps, posting{doc: doc, tf: float64(counts[t]) / float64(len(toks))})
 	}
-	return dst
 }
 
 // Entry is one (document, label) pair for AddBatch.
@@ -148,63 +125,16 @@ type Entry struct {
 	Label string
 }
 
-// AddBatch indexes a batch of labels, equivalent to calling Add for each
-// entry in order, with the deletion-neighborhood construction — the bulk of
-// a cold build or warm restart — parallelized over the worker pool. The
-// write lock is held for the whole batch, so concurrent readers observe
-// either none or all of it.
-//
-// Determinism: postings, document frequencies, and LSH buckets are built
-// serially in entry order, exactly as repeated Adds would. The parallel
-// phases cannot reorder anything — variant computation is pure, and the
-// per-shard insertion phase groups (variant, token) pairs by shard in token
-// discovery order before handing each shard to exactly one worker, so every
-// neighborhood list is byte-identical to the serial build's.
-func (ix *Index) AddBatch(entries []Entry, workers int) {
+// AddBatch indexes each entry's label under its document, in entry order,
+// so however the entries are split into batches the index ends in the
+// same state. The write lock is held for the whole batch, so concurrent
+// readers observe either none or all of it.
+func (ix *Index) AddBatch(entries []Entry) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-
-	// Phase 1: serial postings build, collecting first-seen vocabulary.
-	var newTokens []string
 	for _, e := range entries {
-		newTokens = ix.post(newTokens, e.Doc, e.Label)
+		ix.post(e.Doc, e.Label)
 	}
-	if len(newTokens) == 0 {
-		return
-	}
-
-	// Phases 2 and 3 fan out over the worker pool; nothing cancels them, so
-	// neither can return an error.
-	//lteelint:ignore ctxflow AddBatch is reached from the context-free kb.AddInstances; the build is bounded by the batch
-	ctx := context.Background()
-
-	// Phase 2: per-token deletion variants, computed in parallel (pure).
-	variants, _ := par.MapCtx(ctx, workers, newTokens, func(_ int, t string) []string {
-		return appendDeletionVariants(make([]string, 0, len(t)+1), t)
-	})
-
-	// Phase 3: group pairs by shard in token order, then insert with one
-	// worker per shard (disjoint writes, no locks needed).
-	var groups [delShardCount]struct{ vs, ts []string }
-	for i, vs := range variants {
-		for _, v := range vs {
-			g := &groups[delShardOf(v)]
-			g.vs = append(g.vs, v)
-			g.ts = append(g.ts, newTokens[i])
-		}
-	}
-	_ = par.ForEachCtx(ctx, workers, delShardCount, func(s int) {
-		g := &groups[s]
-		if len(g.vs) == 0 {
-			return
-		}
-		if ix.delNeighbors[s] == nil {
-			ix.delNeighbors[s] = make(map[string][]string, len(g.vs))
-		}
-		for i, v := range g.vs {
-			ix.delNeighbors[s][v] = append(ix.delNeighbors[s][v], g.ts[i])
-		}
-	})
 }
 
 // Len returns the number of distinct documents in the index.
@@ -221,19 +151,14 @@ func (ix *Index) Len() int {
 func (ix *Index) Clone() *Index {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	nc := &Index{
-		postings: clipped(ix.postings),
-		docFreq:  maps.Clone(ix.docFreq),
-		labels:   clipped(ix.labels),
-		lsh:      ix.lsh.Clone(),
-		numDocs:  ix.numDocs,
+	return &Index{
+		postings:     clipped(ix.postings),
+		docFreq:      maps.Clone(ix.docFreq),
+		labels:       clipped(ix.labels),
+		lsh:          ix.lsh.Clone(),
+		delNeighbors: clipped(ix.delNeighbors),
+		numDocs:      ix.numDocs,
 	}
-	for s, m := range ix.delNeighbors {
-		if m != nil {
-			nc.delNeighbors[s] = clipped(m)
-		}
-	}
-	return nc
 }
 
 // clipped copies a map of slices, sharing each slice's backing array with
@@ -419,31 +344,19 @@ func compareHits(a, b Hit) int {
 	return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Doc, b.Doc))
 }
 
-// appendDeletionVariants appends t's neighborhood entries — t itself and
-// each of its one-rune deletions — to dst. Adjacent equal runes produce
-// identical variants and are emitted once.
-func appendDeletionVariants(dst []string, t string) []string {
-	dst = append(dst, t)
+// indexDeletions files a new vocabulary token under itself and each of
+// its one-rune deletions. Adjacent equal runes produce identical deletions,
+// which are filed once. The caller holds the write lock.
+func (ix *Index) indexDeletions(t string) {
+	ix.delNeighbors[t] = append(ix.delNeighbors[t], t)
 	var prev rune = -1
 	for bi, r := range t {
 		if r == prev {
 			continue
 		}
 		prev = r
-		dst = append(dst, t[:bi]+t[bi+utf8.RuneLen(r):])
-	}
-	return dst
-}
-
-// indexDeletions files a new vocabulary token under itself and each of
-// its one-rune deletions. The caller holds the write lock.
-func (ix *Index) indexDeletions(t string) {
-	for _, v := range appendDeletionVariants(nil, t) {
-		s := delShardOf(v)
-		if ix.delNeighbors[s] == nil {
-			ix.delNeighbors[s] = make(map[string][]string, 64)
-		}
-		ix.delNeighbors[s][v] = append(ix.delNeighbors[s][v], t)
+		v := t[:bi] + t[bi+utf8.RuneLen(r):]
+		ix.delNeighbors[v] = append(ix.delNeighbors[v], t)
 	}
 }
 
@@ -471,7 +384,7 @@ func (ix *Index) fuzzyMatches(t string) []string {
 			}
 		}
 	}
-	collect(ix.delNeighbors[delShardOf(t)][t])
+	collect(ix.delNeighbors[t])
 	vbuf := make([]byte, 0, 64)
 	var prev rune = -1
 	for bi, r := range t {
@@ -481,12 +394,8 @@ func (ix *Index) fuzzyMatches(t string) []string {
 		prev = r
 		vbuf = append(vbuf[:0], t[:bi]...)
 		vbuf = append(vbuf, t[bi+utf8.RuneLen(r):]...)
-		s := 0
-		if len(vbuf) > 0 {
-			s = int(vbuf[0])
-		}
 		// string(vbuf) in a map lookup does not allocate.
-		collect(ix.delNeighbors[s][string(vbuf)])
+		collect(ix.delNeighbors[string(vbuf)])
 	}
 	// Verify: sharing a deletion variant bounds the distance by two, not
 	// one ("ab" and "ba" share "a"), so each candidate is checked with

@@ -46,35 +46,79 @@ func TestProvenanceFields(t *testing.T) {
 }
 
 // TestConcurrentGrowthAndSearch is the post-construction growth contract
-// under the race detector: writers add instances while readers search,
-// look up instances, profile classes and list candidates.
+// under the race detector: writers add instances, half one at a time and
+// half in small AddInstances batches, while readers search, look up
+// instances, profile classes and list candidates. It pins the visibility
+// order of both write paths: an instance is stored before its labels enter
+// the index, so every hit a reader gets, from the index itself as well as
+// through Candidates and SearchInstances, resolves to a stored instance.
 func TestConcurrentGrowthAndSearch(t *testing.T) {
 	k := newTestKB(t)
-	const writers, readers, perWriter = 4, 4, 25
+	const writers, readers, perWriter, batch = 4, 4, 24, 3
+	grown := func(w, i int) *Instance {
+		return &Instance{
+			Class:  ClassSettlement,
+			Labels: []string{fmt.Sprintf("Growtown %d-%d", w, i)},
+			Facts: map[PropertyID]dtype.Value{
+				"dbo:country": dtype.NewRef("United States"),
+			},
+			Provenance:  ProvenanceIngest,
+			IngestEpoch: 1,
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				k.AddInstance(&Instance{
-					Class:  ClassSettlement,
-					Labels: []string{fmt.Sprintf("Growtown %d-%d", w, i)},
-					Facts: map[PropertyID]dtype.Value{
-						"dbo:country": dtype.NewRef("United States"),
-					},
-					Provenance:  ProvenanceIngest,
-					IngestEpoch: 1,
-				})
+			for i := 0; i < perWriter; i += batch {
+				if w%2 == 0 {
+					for j := i; j < i+batch; j++ {
+						k.AddInstance(grown(w, j))
+					}
+					continue
+				}
+				ins := make([]*Instance, 0, batch)
+				for j := i; j < i+batch; j++ {
+					ins = append(ins, grown(w, j))
+				}
+				k.AddInstances(ins)
 			}
 		}(w)
+	}
+	resolves := func(id InstanceID) bool {
+		return k.Instance(id) != nil && k.InstanceClass(id) != ""
 	}
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				k.Candidates("Growtown", CandidateOpts{K: 10, Class: ClassSettlement})
+				// filterHits drops documents without a stored instance, so
+				// the index's own hits are what pin the order.
+				for _, h := range k.globalIx.Retrieve("Growtown", 200) {
+					if !resolves(InstanceID(h.Doc)) {
+						t.Errorf("index hit %d has no stored instance", h.Doc)
+						return
+					}
+				}
+				for _, id := range k.Candidates("Growtown", CandidateOpts{K: 10, Class: ClassSettlement}) {
+					if !resolves(id) || k.InstanceClass(id) != ClassSettlement {
+						t.Errorf("candidate %d does not resolve to a settlement", id)
+						return
+					}
+				}
+				hits, err := k.SearchInstances(t.Context(), "Growtown", CandidateOpts{K: 10})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, h := range hits {
+					if !resolves(h.Instance) {
+						t.Errorf("search hit %d does not resolve", h.Instance)
+						return
+					}
+				}
 				n := k.NumInstances()
 				if in := k.Instance(InstanceID(n - 1)); in == nil {
 					t.Error("instance visible in count but not by ID")

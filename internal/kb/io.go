@@ -147,8 +147,8 @@ func encodeInstance(enc *json.Encoder, in *Instance) error {
 // appending to any existing instances. Instances referencing classes
 // unknown to the ontology are rejected. The whole stream is parsed before
 // anything is stored (a malformed line therefore adds nothing) and then
-// indexed in one AddInstances batch, which parallelizes the label-index
-// build — the dominant cost of a warm restart over a written-back KB.
+// added in one AddInstances batch, so readers see the label index gain
+// the whole stream at once.
 func (kb *KB) ReadInstances(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)

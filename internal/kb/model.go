@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dtype"
 	"repro/internal/index"
-	"repro/internal/par"
 	"repro/internal/strsim"
 )
 
@@ -333,25 +332,16 @@ func (kb *KB) Schema(id ClassID) []Property {
 // be nil. The passed *Instance is copied out — the KB keeps no reference
 // to it. Safe to call while other goroutines read or search the KB: the
 // instance becomes visible to ID lookups before its labels enter the
-// indexes, so a concurrent search never retrieves a document without a
+// index, so a concurrent search never retrieves a document without a
 // backing instance.
 func (kb *KB) AddInstance(in *Instance) InstanceID {
-	kb.mu.Lock()
-	kb.storeLocked(in)
-	kb.mu.Unlock()
-
-	for _, l := range in.Labels {
-		kb.globalIx.Add(int(in.ID), l)
-	}
-	kb.version.Add(1)
-	return in.ID
+	return kb.AddInstances([]*Instance{in})[0]
 }
 
 // AddInstances stores a batch of instances, equivalent to calling
-// AddInstance for each in order, but builds the label index in bulk: the
-// deletion-neighborhood construction — the dominant cost of a warm restart
-// that replays a written-back KB — parallelizes across index.AddBatch's
-// workers. The version counter is bumped once for the whole batch.
+// AddInstance for each in order: every instance is stored, and so visible
+// to ID lookups, before any of their labels enter the index in one
+// AddBatch. The version counter is bumped once for the whole batch.
 func (kb *KB) AddInstances(ins []*Instance) []InstanceID {
 	if len(ins) == 0 {
 		return nil
@@ -369,7 +359,7 @@ func (kb *KB) AddInstances(ins []*Instance) []InstanceID {
 			entries = append(entries, index.Entry{Doc: int(in.ID), Label: l})
 		}
 	}
-	kb.globalIx.AddBatch(entries, par.DefaultWorkers())
+	kb.globalIx.AddBatch(entries)
 	kb.version.Add(1)
 	return ids
 }

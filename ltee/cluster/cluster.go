@@ -44,12 +44,10 @@ func MetricSet() []Metric { return cluster.MetricSet() }
 // of Table 7).
 func MetricPrefix(n int) []Metric { return cluster.MetricPrefix(n) }
 
-// Cluster partitions rows so that rows describing the same instance share
-// a cluster (the one-shot form of the incremental clusterer the engine
-// uses).
-func Cluster(rows []*Row, scorer *Scorer, opts Options) *Clustering {
-	// A context that is never cancelled cannot make ClusterCtx fail.
-	//lteelint:ignore ctxflow Cluster is the context-free v1 form; it has nothing to cancel
-	cl, _ := cluster.ClusterCtx(context.Background(), rows, scorer, opts)
-	return cl
+// ClusterCtx partitions rows so that rows describing the same instance
+// share a cluster (the one-shot form of the incremental clusterer the
+// engine uses), honouring ctx's cancellation between batches. A cancelled
+// run returns the context's error and no clustering.
+func ClusterCtx(ctx context.Context, rows []*Row, scorer *Scorer, opts Options) (*Clustering, error) {
+	return cluster.ClusterCtx(ctx, rows, scorer, opts)
 }
