@@ -42,15 +42,17 @@
 // order) plus manifest.json describing the chain. SaveSnapshot writes
 // only the instances ingested since the manifest's chain was last
 // extended — one new segment per call, or none when nothing changed —
-// then commits by rewriting the manifest via temp-file+rename+fsync:
-// the manifest is written last, so a crash at any point leaves the
-// previous complete snapshot loadable. LoadSnapshot replays the chain
-// in order. CompactSnapshot merges the chain into a single segment
-// under the same manifest-last discipline and then deletes unreferenced
-// segment files, so a crash mid-compaction also leaves a loadable
-// directory (plus, at worst, orphan files the next compaction removes).
-// Segment names come from the manifest on disk; every path that opens a
-// segment first refuses a name that is not a plain file name inside the
-// snapshot directory, and a manifest of another format that lists
-// instances.
+// then commits by rewriting the manifest; CompactSnapshot merges the
+// chain into one segment the same way. Every file is committed by
+// AtomicWriteFile (temp file, fsync, rename, directory fsync) and the
+// manifest is written last, so a crash or power cut at any step leaves
+// the previous complete snapshot loadable, plus at worst orphan files
+// the next save or compaction removes. Each primitive durable step —
+// AtomicWriteFile's seven, SaveSnapshot's directory creation, the
+// orphan removals and the serve job journal's appends — first passes
+// BeforeStep, the seam through which crash tests fail or cut power at
+// every step. Segment names come from the manifest on disk; every path
+// that opens a segment first refuses a name that is not a plain file
+// name inside the snapshot directory, and a manifest of another format
+// that lists instances.
 package kb

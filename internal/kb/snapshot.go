@@ -12,14 +12,7 @@ import (
 	"strings"
 )
 
-// Snapshot persistence is append-only and epoch-oriented: a directory
-// holds numbered instance segments (segment-NNNNNN.ndjson) plus a
-// manifest listing the chain. SaveSnapshot writes one segment per call —
-// only the instances ingested since the chain was last extended — and
-// commits by rewriting the manifest last (temp-file+rename+fsync), so a
-// crash at any point leaves the previous complete snapshot loadable.
-// CompactSnapshot merges the chain back into one segment under the same
-// discipline.
+// Snapshot layout; see the package doc for the commit discipline.
 const (
 	snapshotManifestFile = "manifest.json"
 	segmentPattern       = "segment-%06d.ndjson"
@@ -32,13 +25,34 @@ const (
 // complete snapshot (no manifest).
 var ErrNoSnapshot = errors.New("kb: no snapshot manifest")
 
-// snapshotFault, when non-nil, is called at the named commit points of
-// SaveSnapshot and CompactSnapshot ("segment" after a delta segment is
-// in place, "compact-merge" after a merged segment is in place — both
-// before the manifest commit). A returned error aborts the operation
-// there, simulating a crash between segment write and manifest rename.
-// Test hook only.
-var snapshotFault func(stage string) error
+// StepKind names one primitive durable step: a call that creates, fills,
+// syncs, renames or removes a file or directory on a durability path.
+type StepKind string
+
+// The durable steps of AtomicWriteFile, of the serve job journal, and of
+// SaveSnapshot and removeUnreferenced.
+const (
+	StepCreateTemp    StepKind = "create-temp"
+	StepFill          StepKind = "fill"
+	StepFsync         StepKind = "fsync"
+	StepClose         StepKind = "close"
+	StepRename        StepKind = "rename"
+	StepOpenDir       StepKind = "open-dir"
+	StepFsyncDir      StepKind = "fsync-dir"
+	StepJournalOpen   StepKind = "journal-open"
+	StepJournalWrite  StepKind = "journal-write"
+	StepJournalFsync  StepKind = "journal-fsync"
+	StepJournalReopen StepKind = "journal-reopen"
+	StepRemove        StepKind = "remove"
+	StepMkdir         StepKind = "mkdir"
+)
+
+// BeforeStep runs before each primitive durable step, with the step's
+// kind and the path it acts on; an error it returns is that step's error,
+// and the step is not performed. It is the one seam crash tests use to
+// fail or cut power at every step. It is read without synchronization, so
+// a test replaces it before any goroutine that writes starts.
+var BeforeStep = func(kind StepKind, path string) error { return nil }
 
 // SegmentInfo describes one instance segment of a snapshot chain.
 type SegmentInfo struct {
@@ -152,6 +166,9 @@ func (kb *KB) SaveSnapshot(dir string, meta Manifest) (Manifest, error) {
 		Epochs:    meta.Epochs,
 		Tables:    meta.Tables,
 	}
+	if err := BeforeStep(StepMkdir, dir); err != nil {
+		return Manifest{}, fmt.Errorf("kb: creating snapshot dir: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Manifest{}, fmt.Errorf("kb: creating snapshot dir: %w", err)
 	}
@@ -194,11 +211,6 @@ func (kb *KB) SaveSnapshot(dir string, meta Manifest) (Manifest, error) {
 		_, last := kb.InstanceProvenance(delta[len(delta)-1])
 		chain = append(chain, SegmentInfo{File: name, Instances: len(delta), FirstEpoch: first, LastEpoch: last})
 		next++
-		if snapshotFault != nil {
-			if err := snapshotFault("segment"); err != nil {
-				return Manifest{}, err
-			}
-		}
 	}
 	m.Segments = chain
 	m.NextSegment = next
@@ -245,8 +257,8 @@ func removeUnreferenced(dir string, m Manifest) {
 		}
 		stale := (strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".ndjson")) ||
 			strings.Contains(name, ".tmp")
-		if stale {
-			os.Remove(filepath.Join(dir, name))
+		if path := filepath.Join(dir, name); stale && BeforeStep(StepRemove, path) == nil {
+			os.Remove(path)
 		}
 	}
 }
@@ -257,21 +269,39 @@ func removeUnreferenced(dir string, m Manifest) {
 // the one commit helper of every durable file: the snapshot segments and
 // manifest here, and the serve layer's job journal compaction.
 func AtomicWriteFile(path string, fill func(*os.File) error) error {
+	if err := BeforeStep(StepCreateTemp, path); err != nil {
+		return fmt.Errorf("kb: creating temp file for %s: %w", path, err)
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("kb: creating temp file for %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := fill(tmp); err != nil {
+	err = BeforeStep(StepFill, tmp.Name())
+	if err == nil {
+		err = fill(tmp)
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("kb: writing %s: %w", path, err)
 	}
-	if err := tmp.Sync(); err != nil {
+	err = BeforeStep(StepFsync, tmp.Name())
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("kb: syncing %s: %w", path, err)
 	}
+	if err := BeforeStep(StepClose, tmp.Name()); err != nil {
+		tmp.Close()
+		return fmt.Errorf("kb: closing %s: %w", path, err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("kb: closing %s: %w", path, err)
+	}
+	if err := BeforeStep(StepRename, path); err != nil {
+		return fmt.Errorf("kb: committing %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("kb: committing %s: %w", path, err)
@@ -279,11 +309,17 @@ func AtomicWriteFile(path string, fill func(*os.File) error) error {
 	// Fsync the parent directory so the rename itself is durable — without
 	// it a power loss can roll back the name while keeping the content (or
 	// the reverse), breaking the segments-then-manifest commit ordering.
+	if err := BeforeStep(StepOpenDir, filepath.Dir(path)); err != nil {
+		return fmt.Errorf("kb: opening dir of %s: %w", path, err)
+	}
 	dir, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return fmt.Errorf("kb: opening dir of %s: %w", path, err)
 	}
 	defer dir.Close()
+	if err := BeforeStep(StepFsyncDir, dir.Name()); err != nil {
+		return fmt.Errorf("kb: syncing dir of %s: %w", path, err)
+	}
 	if err := dir.Sync(); err != nil {
 		return fmt.Errorf("kb: syncing dir of %s: %w", path, err)
 	}
@@ -401,11 +437,6 @@ func CompactSnapshot(dir string) (Manifest, error) {
 		return w.Flush()
 	}); err != nil {
 		return Manifest{}, err
-	}
-	if snapshotFault != nil {
-		if err := snapshotFault("compact-merge"); err != nil {
-			return Manifest{}, err
-		}
 	}
 
 	m.Format = snapshotFormatSegmented

@@ -201,6 +201,22 @@ func loadFresh(t *testing.T, dir string) []byte {
 	return buf.Bytes()
 }
 
+// failStep makes BeforeStep fail every step of kind on the file named base
+// with err, until the returned restore runs (at the latest when the test
+// ends).
+func failStep(t *testing.T, kind StepKind, base string, err error) (restore func()) {
+	prev := BeforeStep
+	BeforeStep = func(k StepKind, path string) error {
+		if k == kind && filepath.Base(path) == base {
+			return err
+		}
+		return nil
+	}
+	restore = func() { BeforeStep = prev }
+	t.Cleanup(restore)
+	return restore
+}
+
 // TestSnapshotCrashMidSegmentRecovers simulates a crash between the delta
 // segment write and the manifest commit: the previous manifest must stay
 // byte-identical, the previous snapshot must stay loadable, and the
@@ -221,13 +237,7 @@ func TestSnapshotCrashMidSegmentRecovers(t *testing.T) {
 		Provenance: ProvenanceIngest, IngestEpoch: 3,
 	})
 	boom := errors.New("crash between segment write and manifest commit")
-	snapshotFault = func(stage string) error {
-		if stage == "segment" {
-			return boom
-		}
-		return nil
-	}
-	t.Cleanup(func() { snapshotFault = nil })
+	restore := failStep(t, StepCreateTemp, "manifest.json", boom)
 	if _, err := k.SaveSnapshot(dir, Manifest{}); !errors.Is(err, boom) {
 		t.Fatalf("crashed save error = %v, want injected fault", err)
 	}
@@ -242,7 +252,7 @@ func TestSnapshotCrashMidSegmentRecovers(t *testing.T) {
 
 	// The retry overwrites the orphan segment (NextSegment never moved)
 	// and commits; the orphan does not join the chain twice.
-	snapshotFault = nil
+	restore()
 	m, err := k.SaveSnapshot(dir, Manifest{})
 	if err != nil {
 		t.Fatal(err)
@@ -283,13 +293,7 @@ func TestSnapshotCrashMidCompactionRecovers(t *testing.T) {
 	wantLoad := loadFresh(t, dir)
 
 	boom := errors.New("crash between merged segment and manifest commit")
-	snapshotFault = func(stage string) error {
-		if stage == "compact-merge" {
-			return boom
-		}
-		return nil
-	}
-	t.Cleanup(func() { snapshotFault = nil })
+	restore := failStep(t, StepCreateTemp, "manifest.json", boom)
 	if _, err := CompactSnapshot(dir); !errors.Is(err, boom) {
 		t.Fatalf("crashed compaction error = %v, want injected fault", err)
 	}
@@ -300,7 +304,7 @@ func TestSnapshotCrashMidCompactionRecovers(t *testing.T) {
 		t.Error("crashed compaction altered what LoadSnapshot reconstructs")
 	}
 
-	snapshotFault = nil
+	restore()
 	m, err := CompactSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)

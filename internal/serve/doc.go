@@ -34,8 +34,10 @@
 // TTL expires, and jobs that were still queued or running when the
 // process died come back as "interrupted", carrying their inputs so the
 // operator can resubmit them (a killed epoch commits nothing, so
-// resubmission is safe). The journal is compacted with the same temp
-// file + rename + fsync discipline as the KB snapshot segments.
+// resubmission is safe). The journal is compacted through
+// kb.AtomicWriteFile like the KB snapshot files, and its appends pass
+// kb.BeforeStep like every other durable step, so one seam lets crash
+// tests fail or cut power at each step of both.
 //
 // # Dependencies
 //

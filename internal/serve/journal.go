@@ -14,24 +14,16 @@ import (
 
 // The job journal makes the scheduler's job records durable: every job is
 // appended to <snapshotDir>/jobs.ndjson when it is accepted and again on
-// each status transition, with an fsync after each append — the same
-// durability point the kb segment commits use. A warm start replays the
-// journal: jobs whose last record is terminal come back as queryable
-// history, and jobs that were still queued or running when the process
-// died come back as "interrupted", carrying their full inputs so the
-// operator can resubmit them. Replay then compacts the journal to one
-// merged record per retained job, committed through kb.AtomicWriteFile
-// (temp file, fsync, rename, directory fsync), so the file never grows
-// beyond the retained set plus the transitions appended since the last
-// compaction.
+// each status transition, with an fsync after each append. A warm start
+// replays the journal: jobs whose last record is terminal come back as
+// queryable history, and jobs that were still queued or running when the
+// process died come back as "interrupted", carrying their full inputs so
+// the operator can resubmit them. Replay then compacts the journal to one
+// merged record per retained job through kb.AtomicWriteFile, so the file
+// never grows beyond the retained set plus the transitions appended since
+// the last compaction. Each open, write, fsync and reopen first passes
+// kb.BeforeStep, the crash seam the snapshot files use too.
 const journalFile = "jobs.ndjson"
-
-// journalFault, when non-nil, is called before each journal append with
-// the record's status. A returned error simulates a crash mid-append: only
-// a prefix of the record's bytes reaches the file (no trailing newline)
-// and the append reports the error. Test hook only, same shape as
-// kb's snapshotFault.
-var journalFault func(status string) error
 
 // jobRecord is one journal line: the full job description on the
 // "queued" record, and sparse transition fields afterwards. Replay folds
@@ -67,6 +59,9 @@ type jobJournal struct {
 // appending. Callers replay the prior contents first via replayJobJournal.
 func openJobJournal(dir string) (*jobJournal, error) {
 	path := filepath.Join(dir, journalFile)
+	if err := kb.BeforeStep(kb.StepJournalOpen, path); err != nil {
+		return nil, fmt.Errorf("serve: opening job journal: %w", err)
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening job journal: %w", err)
@@ -97,18 +92,16 @@ func (jl *jobJournal) append(rec jobRecord) error {
 	if err != nil {
 		return fmt.Errorf("serve: encoding job record: %w", err)
 	}
-	if journalFault != nil {
-		if ferr := journalFault(rec.Status); ferr != nil {
-			// Simulate the crash: a prefix of the line reaches the disk,
-			// no newline, and the process "dies" here.
-			jl.f.Write(raw[:len(raw)/2])
-			jl.f.Sync()
-			return ferr
-		}
-	}
 	raw = append(raw, '\n')
-	if _, err := jl.f.Write(raw); err != nil {
+	err = kb.BeforeStep(kb.StepJournalWrite, jl.path)
+	if err == nil {
+		_, err = jl.f.Write(raw)
+	}
+	if err != nil {
 		return fmt.Errorf("serve: appending job record: %w", err)
+	}
+	if err := kb.BeforeStep(kb.StepJournalFsync, jl.path); err != nil {
+		return fmt.Errorf("serve: syncing job journal: %w", err)
 	}
 	if err := jl.f.Sync(); err != nil {
 		return fmt.Errorf("serve: syncing job journal: %w", err)
@@ -141,6 +134,9 @@ func (jl *jobJournal) compact(recs []jobRecord) error {
 	if err := jl.close(); err != nil {
 		return err
 	}
+	if err := kb.BeforeStep(kb.StepJournalReopen, jl.path); err != nil {
+		return fmt.Errorf("serve: reopening job journal: %w", err)
+	}
 	f, err := os.OpenFile(jl.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("serve: reopening job journal: %w", err)
@@ -166,7 +162,6 @@ func replayJobJournal(dir string) ([]jobRecord, int64, error) {
 	defer f.Close()
 
 	byID := make(map[int64]*jobRecord)
-	var order []int64
 	var maxID int64
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -186,50 +181,23 @@ func replayJobJournal(dir string) ([]jobRecord, int64, error) {
 		if rec.ID > maxID {
 			maxID = rec.ID
 		}
-		cur, ok := byID[rec.ID]
-		if !ok {
-			recCopy := rec
-			byID[rec.ID] = &recCopy
-			order = append(order, rec.ID)
+		if cur := byID[rec.ID]; cur != nil {
+			// Fold a later record: every field but id and status is
+			// omitempty, so decoding the line over the record overrides
+			// exactly the fields the line carries.
+			if json.Unmarshal(line, cur) != nil {
+				break
+			}
 			continue
 		}
-		// Fold: status and timestamp always advance; input and detail
-		// fields stick once set.
-		cur.Status = rec.Status
-		if rec.Unix != 0 {
-			cur.Unix = rec.Unix
-		}
-		if rec.Kind != "" {
-			cur.Kind = rec.Kind
-		}
-		if rec.Class != "" {
-			cur.Class = rec.Class
-		}
-		if len(rec.Tables) > 0 {
-			cur.Tables = rec.Tables
-		}
-		if rec.Auto != 0 {
-			cur.Auto = rec.Auto
-		}
-		if len(rec.Raw) > 0 {
-			cur.Raw = rec.Raw
-		}
-		if len(rec.After) > 0 {
-			cur.After = rec.After
-		}
-		if len(rec.RawIDs) > 0 {
-			cur.RawIDs = rec.RawIDs
-		}
-		if rec.Error != "" {
-			cur.Error = rec.Error
-		}
+		byID[rec.ID] = &rec
 	}
 	if err := sc.Err(); err != nil {
 		return nil, 0, fmt.Errorf("serve: reading job journal: %w", err)
 	}
-	out := make([]jobRecord, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
+	out := make([]jobRecord, 0, len(byID))
+	for _, rec := range byID {
+		out = append(out, *rec)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, maxID, nil

@@ -138,35 +138,38 @@ func TestServeInterruptedJobRecovery(t *testing.T) {
 	}
 }
 
-// TestServeJournalAppendCrash simulates the disk failing mid-append of a
-// job's admission record (a torn half-record with no newline, the shape a
-// power cut leaves): the job must be refused — the scheduler never runs
-// work a restart would not know about — and both the running server and a
-// restarted one must carry on with an intact journal.
+// TestServeJournalAppendCrash fails the disk write of a job's admission
+// record: the job must be refused — the scheduler never runs work a
+// restart would not know about — and both the running server and a
+// restarted one must carry on with an intact journal. The torn tails a
+// power cut leaves are TestCrashEveryDurableStep's.
 func TestServeJournalAppendCrash(t *testing.T) {
+	var armed atomic.Bool
+	prev := kb.BeforeStep
+	kb.BeforeStep = func(kind kb.StepKind, _ string) error {
+		if kind == kb.StepJournalWrite && armed.CompareAndSwap(true, false) {
+			return errors.New("simulated disk failure")
+		}
+		return nil
+	}
+	t.Cleanup(func() { kb.BeforeStep = prev })
 	dir := t.TempDir()
 	var park atomic.Bool
 	s1, tables := journalServer(t, dir, &park, nil)
 	done := ingestWait(t, s1, tables[:1])
 
-	journalFault = func(status string) error {
-		if status == statusQueued {
-			return errors.New("simulated disk failure")
-		}
-		return nil
-	}
+	armed.Store(true)
 	body, _ := json.Marshal(IngestRequest{Class: "GF-Player", Tables: tables[1:2]})
 	if code := do(t, s1, http.MethodPost, "/v1/ingest", string(body), nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("ingest during journal failure = %d, want 503", code)
 	}
-	journalFault = nil
 
 	// The journal healed in place: a follow-up job on the same server
 	// journals and runs normally.
 	after := ingestWait(t, s1, tables[1:2])
 
 	// A restart sees exactly the two completed jobs — no ghost of the
-	// refused one, no replay corruption from the torn bytes.
+	// refused one.
 	s2, _ := journalServer(t, dir, &park, nil)
 	var jl JobsView
 	do(t, s2, http.MethodGet, "/v1/jobs", "", &jl)
@@ -240,6 +243,46 @@ func TestJournalReplayTornTail(t *testing.T) {
 	if len(recs) != 3 || maxID != 3 {
 		t.Fatalf("replay after compaction = %d records, maxID %d", len(recs), maxID)
 	}
+}
+
+// FuzzReplayJobJournal replays arbitrary jobs.ndjson bytes. Replay must
+// not panic or hang, and it must be idempotent under compaction: the
+// records replayed from what compact writes equal the records compacted.
+func FuzzReplayJobJournal(f *testing.F) {
+	f.Add([]byte(`{"id":1,"status":"queued","kind":"ingest","class":"c","tables":[7],"unix":100}
+{"id":1,"status":"running","unix":101}
+{"id":1,"status":"done","rawIDs":[3],"unix":102}
+{"id":2,"status":"queued","kind":"ingest","raw":[{"headers":["a","b"],"rows":[["x","1"]]}],"after":[1]}
+{"id":2,"stat`))
+	f.Add([]byte("{\"id\":3,\"status\":\"failed\",\"error\":\"\xff\",\"tables\":[]}\n\n{\"id\":-1}\n"))
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, maxID, err := replayJobJournal(dir)
+		if err != nil {
+			return // a line past the scanner's limit is an error, not a crash
+		}
+		want, _ := json.Marshal(recs)
+		jl, err := openJobJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jl.compact(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := jl.close(); err != nil {
+			t.Fatal(err)
+		}
+		again, againMax, err := replayJobJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(again); string(got) != string(want) || againMax != maxID {
+			t.Fatalf("replay after compaction = %s (max id %d), want %s (max id %d)", got, againMax, want, maxID)
+		}
+	})
 }
 
 // TestServeJournalDisabled: DisableJournal keeps the snapshot directory

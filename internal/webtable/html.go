@@ -30,89 +30,88 @@ func ExtractHTML(html string) []*Table {
 // nesting.
 func findTables(html string) []string {
 	var out []string
-	lower := strings.ToLower(html)
 	i := 0
 	for {
-		start := indexFrom(lower, "<table", i)
+		start := indexFold(html, "<table", i)
 		if start < 0 {
 			return out
 		}
-		open := strings.IndexByte(lower[start:], '>')
+		open := strings.IndexByte(html[start:], '>')
 		if open < 0 {
 			return out
 		}
 		bodyStart := start + open + 1
-		depth := 1
-		j := bodyStart
-		for depth > 0 {
-			nextOpen := indexFrom(lower, "<table", j)
-			nextClose := indexFrom(lower, "</table", j)
-			if nextClose < 0 {
-				return out // unterminated table: drop it
-			}
-			if nextOpen >= 0 && nextOpen < nextClose {
-				depth++
-				j = nextOpen + 6
-			} else {
-				depth--
-				j = nextClose + 7
-			}
+		closeStart := tableClose(html, bodyStart)
+		if closeStart < 0 {
+			return out // unterminated table: drop it
 		}
-		closeStart := strings.LastIndex(lower[:j], "</table")
 		out = append(out, html[bodyStart:closeStart])
-		i = j
+		i = closeStart + len("</table")
 	}
 }
 
 // stripNestedTables removes any <table>…</table> blocks nested inside a
 // table's inner HTML, keeping only the outer table's own rows.
 func stripNestedTables(inner string) string {
-	lower := strings.ToLower(inner)
-	if !strings.Contains(lower, "<table") {
-		return inner
-	}
 	var b strings.Builder
 	i := 0
 	for {
-		start := indexFrom(lower, "<table", i)
+		start := indexFold(inner, "<table", i)
 		if start < 0 {
 			b.WriteString(inner[i:])
 			return b.String()
 		}
 		b.WriteString(inner[i:start])
-		depth := 1
-		j := start + 6
-		for depth > 0 {
-			nextOpen := indexFrom(lower, "<table", j)
-			nextClose := indexFrom(lower, "</table", j)
-			if nextClose < 0 {
-				return b.String() // unterminated nested table: drop rest
-			}
-			if nextOpen >= 0 && nextOpen < nextClose {
-				depth++
-				j = nextOpen + 6
-			} else {
-				depth--
-				j = nextClose + 7
-			}
+		closeStart := tableClose(inner, start+len("<table"))
+		if closeStart < 0 {
+			return b.String() // unterminated nested table: drop rest
 		}
-		end := strings.IndexByte(lower[j:], '>')
+		end := strings.IndexByte(inner[closeStart:], '>')
 		if end < 0 {
 			return b.String()
 		}
-		i = j + end + 1
+		i = closeStart + end + 1
 	}
 }
 
-func indexFrom(s, sub string, from int) int {
-	if from >= len(s) {
-		return -1
+// tableClose returns the offset in s of the </table tag that closes a
+// table opened before from, skipping nested tables, or -1 when the table
+// is unterminated.
+func tableClose(s string, from int) int {
+	for depth := 1; ; {
+		nextOpen := indexFold(s, "<table", from)
+		nextClose := indexFold(s, "</table", from)
+		switch {
+		case nextClose < 0:
+			return -1
+		case nextOpen >= 0 && nextOpen < nextClose:
+			depth++
+			from = nextOpen + len("<table")
+		case depth == 1:
+			return nextClose
+		default:
+			depth--
+			from = nextClose + len("</table")
+		}
 	}
-	idx := strings.Index(s[from:], sub)
-	if idx < 0 {
-		return -1
+}
+
+// indexFold returns the offset of the first match of the lower-case ASCII
+// pattern sub in s at or after from, or -1. ASCII letters match either
+// case and every other byte matches itself, the way HTML matches tag
+// names; offsets are into s itself, so they stay valid for slicing s
+// whatever its encoding.
+func indexFold(s, sub string, from int) int {
+	for i := from; i >= 0 && i+len(sub) <= len(s); i++ {
+		j := 0
+		for j < len(sub) && (s[i+j] == sub[j] || s[i+j]|0x20 == sub[j] && 'a' <= sub[j] && sub[j] <= 'z') {
+			j++
+		}
+		if j == len(sub) {
+			return i
+		}
 	}
-	return from + idx
+	return -1
 }
 
 // parseTable converts the inner HTML of a table element into a Table, or
@@ -122,19 +121,18 @@ func parseTable(inner string) *Table {
 	caption := textBetween(inner, "<caption", "</caption>")
 	var rows [][]string
 	var headerFlags []bool
-	lower := strings.ToLower(inner)
 	i := 0
 	for {
-		trStart := indexFrom(lower, "<tr", i)
+		trStart := indexFold(inner, "<tr", i)
 		if trStart < 0 {
 			break
 		}
-		trOpen := strings.IndexByte(lower[trStart:], '>')
+		trOpen := strings.IndexByte(inner[trStart:], '>')
 		if trOpen < 0 {
 			break
 		}
 		cellStart := trStart + trOpen + 1
-		trEnd := indexFrom(lower, "</tr", cellStart)
+		trEnd := indexFold(inner, "</tr", cellStart)
 		if trEnd < 0 {
 			trEnd = len(inner)
 		}
@@ -187,12 +185,11 @@ func parseTable(inner string) *Table {
 // parseRow extracts the cells of a <tr> body, expanding colspan, and
 // reports whether the row used <th> cells.
 func parseRow(rowHTML string) (cells []string, isHeader bool) {
-	lower := strings.ToLower(rowHTML)
 	i := 0
 	thCount, tdCount := 0, 0
 	for {
-		thIdx := indexFrom(lower, "<th", i)
-		tdIdx := indexFrom(lower, "<td", i)
+		thIdx := indexFold(rowHTML, "<th", i)
+		tdIdx := indexFold(rowHTML, "<td", i)
 		var start int
 		var isTH bool
 		switch {
@@ -206,7 +203,7 @@ func parseRow(rowHTML string) (cells []string, isHeader bool) {
 		default:
 			start, isTH = tdIdx, false
 		}
-		open := strings.IndexByte(lower[start:], '>')
+		open := strings.IndexByte(rowHTML[start:], '>')
 		if open < 0 {
 			return cells, isHeader
 		}
@@ -216,8 +213,8 @@ func parseRow(rowHTML string) (cells []string, isHeader bool) {
 		if !isTH {
 			closeTag = "</td"
 		}
-		end := indexFrom(lower, closeTag, contentStart)
-		nextCell := nextCellStart(lower, contentStart)
+		end := indexFold(rowHTML, closeTag, contentStart)
+		nextCell := nextCellStart(rowHTML, contentStart)
 		if end < 0 || (nextCell >= 0 && nextCell < end) {
 			end = nextCell
 		}
@@ -238,9 +235,9 @@ func parseRow(rowHTML string) (cells []string, isHeader bool) {
 	}
 }
 
-func nextCellStart(lower string, from int) int {
-	th := indexFrom(lower, "<th", from)
-	td := indexFrom(lower, "<td", from)
+func nextCellStart(s string, from int) int {
+	th := indexFold(s, "<th", from)
+	td := indexFold(s, "<td", from)
 	switch {
 	case th < 0:
 		return td
@@ -255,12 +252,11 @@ func nextCellStart(lower string, from int) int {
 
 // colspan parses a colspan attribute out of a tag's attribute string.
 func colspan(attrs string) int {
-	lower := strings.ToLower(attrs)
-	idx := strings.Index(lower, "colspan")
+	idx := indexFold(attrs, "colspan", 0)
 	if idx < 0 {
 		return 1
 	}
-	rest := lower[idx+len("colspan"):]
+	rest := attrs[idx+len("colspan"):]
 	rest = strings.TrimLeft(rest, " =\"'")
 	n := 0
 	for _, r := range rest {
@@ -304,18 +300,18 @@ func isNumericCell(s string) bool {
 
 // textBetween extracts the text content of the first occurrence of the
 // element opened by openPrefix (e.g. "<caption") and closed by closeTag.
+// Both are lower-case ASCII and match case-insensitively.
 func textBetween(html, openPrefix, closeTag string) string {
-	lower := strings.ToLower(html)
-	start := strings.Index(lower, openPrefix)
+	start := indexFold(html, openPrefix, 0)
 	if start < 0 {
 		return ""
 	}
-	open := strings.IndexByte(lower[start:], '>')
+	open := strings.IndexByte(html[start:], '>')
 	if open < 0 {
 		return ""
 	}
 	contentStart := start + open + 1
-	end := indexFrom(lower, strings.ToLower(closeTag), contentStart)
+	end := indexFold(html, closeTag, contentStart)
 	if end < 0 {
 		return ""
 	}

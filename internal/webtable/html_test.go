@@ -1,6 +1,9 @@
 package webtable
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 const sampleHTML = `
 <html><body>
@@ -178,6 +181,44 @@ func TestStripTags(t *testing.T) {
 	if got := stripTags("a &lt; b &gt; c"); got != "a < b > c" {
 		t.Errorf("entities = %q", got)
 	}
+}
+
+// nonASCIITable is a two-row table for TestExtractHTMLNonASCII.
+const nonASCIITable = `<table><tr><th>Name</th><th>Year</th></tr>` +
+	`<tr><td>Alpha</td><td>1999</td></tr><tr><td>Beta</td><td>2001</td></tr></table>`
+
+// TestExtractHTMLNonASCII pins tag matching on the original bytes: a
+// lowered copy changes length on invalid UTF-8 (each bad byte becomes a
+// 3-byte U+FFFD) and on runes such as Ⱥ, so offsets taken on it panicked
+// or cut the page and dropped its tables.
+func TestExtractHTMLNonASCII(t *testing.T) {
+	if got := ExtractHTML("<tABle\xb9\xa4\xdf\xf7></tABle"); len(got) != 0 {
+		t.Errorf("unterminated table extracted as %d tables", len(got))
+	}
+	for _, prefix := range []string{"<p>\xff</p>", "<p>Ⱥ</p>"} {
+		got := ExtractHTML(prefix + nonASCIITable)
+		if len(got) != 1 {
+			t.Fatalf("%q: extracted %d tables, want 1", prefix, len(got))
+		}
+		want := [][]string{{"Alpha", "1999"}, {"Beta", "2001"}}
+		if fmt.Sprint(got[0].Headers) != "[Name Year]" || fmt.Sprint(got[0].Cells) != fmt.Sprint(want) {
+			t.Errorf("%q: table %v %v, want [Name Year] %v", prefix, got[0].Headers, got[0].Cells, want)
+		}
+	}
+}
+
+// FuzzExtractHTML feeds arbitrary pages to ExtractHTML: it must not
+// panic, and every table it returns must pass Validate. The seed corpus
+// in testdata/fuzz holds TestExtractHTMLNonASCII's three pages.
+func FuzzExtractHTML(f *testing.F) {
+	f.Add(sampleHTML)
+	f.Fuzz(func(t *testing.T, html string) {
+		for _, tb := range ExtractHTML(html) {
+			if err := tb.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkExtractHTML(b *testing.B) {
