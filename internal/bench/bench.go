@@ -46,6 +46,7 @@ func All() []Named {
 		{Name: "TermVector", Fn: TermVector},
 		{Name: "ClusterGreedy", Fn: ClusterGreedy},
 		{Name: "IngestBatch", Fn: IngestBatch},
+		{Name: "IngestEpoch", Fn: IngestEpoch},
 		{Name: "ServeSearch/cold", Fn: ServeSearchCold},
 		{Name: "ServeSearch/warm", Fn: ServeSearchWarm},
 	}
@@ -179,6 +180,29 @@ func IngestBatch(b *testing.B) {
 		}
 		if len(out.Entities) == 0 {
 			b.Fatal("no entities")
+		}
+	}
+}
+
+// IngestEpoch measures one two-iteration epoch of a fresh engine (write-back
+// off) over the class's whole table set: the shape of a serve job that
+// ingests a class in one batch, where the second iteration re-matches the
+// batch and rebuilds only the tables whose row inputs changed.
+func IngestEpoch(b *testing.B) {
+	f := pipeFixture(b)
+	cfg := core.DefaultConfig(f.w.KB, f.corpus, kb.ClassGFPlayer)
+	cfg.Iterations = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := core.NewEngine(cfg, core.Models{})
+		eng.WriteBack = false // keep the shared fixture KB pristine
+		out, st, err := eng.Ingest(b.Context(), f.tables)
+		if err != nil {
+			b.Fatalf("ingest: %v", err)
+		}
+		if len(out.Entities) == 0 || st.Iterations != 2 {
+			b.Fatalf("%d entities over %d iterations", len(out.Entities), st.Iterations)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dtype"
@@ -159,4 +161,76 @@ func TestBlocksShareLabel(t *testing.T) {
 	if shared(rows[0], rows[2]) {
 		t.Error("unrelated labels should not share a block")
 	}
+}
+
+// TestBuilderReusesUnchangedTables offers BuildReusing the tables of an
+// earlier call twice: once after the call adds a table, which moves the
+// PHI statistics and the block index under the kept rows, and once after
+// the KB gains an instance labelled like one table's row, which changes
+// that table's candidates; it is then offered a table whose mapping
+// changed. Kept tables must come back as the same *Row
+// objects and rebuilt ones as new objects, and every row must equal what a
+// fresh Build over the same tables and KB makes.
+func TestBuilderReusesUnchangedTables(t *testing.T) {
+	k, _ := implicitFixture()
+	corpus := webtable.NewCorpus([]*webtable.Table{
+		{Headers: []string{"Player", "Pos"}, LabelCol: 0, Cells: [][]string{
+			{"Amos Quill", "QB"}, {"Barton Hedge", "QB"}, {"Cyrus Fenn", "QB"}}},
+		{Headers: []string{"Player"}, LabelCol: 0, Cells: [][]string{{"Dorian Blunt"}, {"Amos Quill"}}},
+		{Headers: []string{"Player"}, LabelCol: 0, Cells: [][]string{{"Zed Quorum"}, {"Amos Quil"}}},
+	})
+	mapping := map[int]map[int]kb.PropertyID{0: {1: "dbo:position"}, 1: {}, 2: {}}
+	b := &Builder{
+		KB: k, Corpus: corpus, Class: kb.ClassGFPlayer, Mapping: mapping,
+		Blocks: NewBlockIndex(), Phi: NewPhiModel(),
+	}
+	fresh := func(tables []int) []*Row {
+		fb := &Builder{
+			KB: k, Corpus: corpus, Class: kb.ClassGFPlayer, Mapping: mapping,
+			Blocks: NewBlockIndex(), Phi: NewPhiModel(),
+		}
+		return fb.Build(tables)
+	}
+	all := []int{0, 1, 2}
+	// check builds all tables offering prev and requires the tables in
+	// kept to come back as offered and the others rebuilt.
+	check := func(step string, prev map[int]*TableRows, kept ...int) map[int]*TableRows {
+		t.Helper()
+		rows, built := b.BuildReusing(all, prev)
+		for _, tid := range all {
+			want := slices.Contains(kept, tid)
+			if got := prev[tid] != nil && built[tid] == prev[tid]; got != want {
+				t.Errorf("%s: table %d kept = %v, want %v", step, tid, got, want)
+			}
+			if prev[tid] != nil && !want {
+				for _, r := range built[tid].rows {
+					if slices.Contains(prev[tid].rows, r) {
+						t.Errorf("%s: rebuilt table %d returned old row %v", step, tid, r.Ref)
+					}
+				}
+			}
+		}
+		if want := fresh(all); !reflect.DeepEqual(rows, want) {
+			t.Errorf("%s: rows differ from a fresh Build", step)
+		}
+		return built
+	}
+
+	_, first := b.BuildReusing([]int{0, 1}, nil)
+	moved := b.Phi.generation()
+	built := check("after adding table 2", first, 0, 1)
+	if b.Phi.generation() == moved {
+		t.Fatal("adding table 2 left the PHI generation unchanged")
+	}
+	built = check("unchanged", built, 0, 1, 2)
+
+	k.AddInstance(&kb.Instance{
+		Class:  kb.ClassGFPlayer,
+		Labels: []string{"Zed Quorum"},
+		Facts:  map[kb.PropertyID]dtype.Value{"dbo:team": dtype.NewRef("Jets")},
+	})
+	built = check("after the KB grew", built, 0, 1)
+
+	mapping[1] = map[int]kb.PropertyID{0: "dbo:team"}
+	check("after table 1's mapping changed", built, 0, 2)
 }

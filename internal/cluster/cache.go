@@ -12,14 +12,16 @@ import "sync"
 //
 // Every entry is exact for the cache's lifetime. Rows are immutable once
 // built, and value similarity is a pure function of two strings. The one
-// row field that does change, a retained row's TableVec, is rewritten only
-// when the PHI model's generation moves (a batch added PHI statistics). The
+// row field that does change, the TableVec of a retained row or of a row
+// Builder.BuildReusing kept, is rewritten only when the PHI model's
+// generation moves (a batch added PHI statistics). The
 // cache records the generation it was filled under and starts empty under
 // another, so a refreshed vector is never paired with a stale score.
 //
 // The ingestion engine makes one per Ingest call and drops it when the call
 // returns, so nothing outlives the epoch: the epoch's pipeline iterations
-// share the retained rows' scores instead of recomputing them. A cache
+// share the scores of the retained rows and of the batch rows a later
+// iteration kept instead of recomputing them. A cache
 // serves one Scorer (switching resets it) and is not safe for concurrent
 // Adds.
 type ScoreCache struct {

@@ -102,6 +102,11 @@ func (bi *BlockIndex) topLabels(norm string, k int) []string {
 	return out
 }
 
+// size returns the number of labels indexed. The index only grows and
+// block lists are a function of what it holds, so an unchanged size means
+// unchanged blocks.
+func (bi *BlockIndex) size() int { return len(bi.labels) }
+
 // Clone returns an independent copy (engine forks must not cross-pollinate
 // each other's label universes).
 func (bi *BlockIndex) Clone() *BlockIndex {

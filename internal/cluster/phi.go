@@ -26,7 +26,7 @@ type phiModel struct {
 	// of a known table leaves it alone, so finalize, the Refresh of
 	// retained rows and every score cached against their vectors
 	// (ScoreCache) can tell "the statistics moved" from "the same batch was
-	// added again" (the engine re-builds its batch on every pipeline
+	// added again" (the engine re-adds its batch on every pipeline
 	// iteration of an epoch).
 	gen uint64
 	// finalGen is the generation vectors were computed at; refreshGen the
@@ -44,7 +44,7 @@ func newPhiModel() *phiModel {
 
 // addTable counts a table's row labels. Re-adding a known table ID is a
 // no-op: the caller must pass the same labels as the first time, as the
-// engine does when it re-builds a batch under a refined mapping (row labels
+// engine does when it re-adds a batch under a refined mapping (row labels
 // come from the label column, not from the mapping) and builds no table it
 // already ingested.
 func (p *phiModel) addTable(id int, labels []string) {

@@ -7,6 +7,8 @@
 package cluster
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/dtype"
@@ -73,6 +75,16 @@ const (
 // Builder prepares Rows for a class: it extracts labels, bags of words and
 // mapped values, derives implicit table attributes from the knowledge base,
 // computes PHI table vectors, and assigns blocks.
+//
+// BuildReusing keeps the rows an earlier Build made of a table while the
+// table's row inputs stand. A row reads only the table (immutable once in
+// the corpus), the table's mapping, the facts of its row labels' KB
+// candidates (an instance's facts never change; the KB only grows), the
+// static class schema, and its PHI vector and blocks. So a table whose
+// mapping is equal and whose every row label retrieves the same candidate
+// list has the same rows, up to the vectors and blocks, which are
+// recomputed in place when the PHI generation or the block index moved
+// since the rows were built.
 type Builder struct {
 	KB     *kb.KB
 	Corpus *webtable.Corpus
@@ -92,59 +104,136 @@ type Builder struct {
 	Phi *PhiModel
 }
 
+// TableRows is what a Build made of one table: its rows and the inputs
+// they were built from, for BuildReusing to keep.
+type TableRows struct {
+	rows    []*Row
+	labels  []string // the rows' NormLabels, the table's PHI labels
+	mapping map[int]kb.PropertyID
+	// cands holds the implicitCandidates KB candidates of each labelled
+	// row, the rows' only KB input.
+	cands [][]kb.InstanceID
+	// phiGen and blockLabels are the PHI generation and the block index
+	// size the rows' TableVec and Blocks were computed at.
+	phiGen      uint64
+	blockLabels int
+}
+
 // Build prepares the rows of the given tables (identified by table ID).
 func (b *Builder) Build(tableIDs []int) []*Row {
-	pm := b.Phi
+	rows, _ := b.BuildReusing(tableIDs, nil)
+	return rows
+}
+
+// BuildReusing is Build that also returns what it made of each table, and
+// keeps the *Row objects of every offered table whose row inputs are
+// unchanged (see Builder): the table's TableRows from an earlier call with
+// the same KB, corpus, class, Blocks and Phi. A kept table's TableRows is
+// returned as offered. Every other table is built fresh. Offers are
+// ignored without a persistent Blocks and Phi, whose per-call statistics
+// depend on the call's table set.
+func (b *Builder) BuildReusing(tableIDs []int, offered map[int]*TableRows) ([]*Row, map[int]*TableRows) {
+	pm, bi := b.Phi, b.Blocks
+	if pm == nil || bi == nil {
+		offered = nil
+	}
 	if pm == nil {
 		pm = NewPhiModel()
 	}
+	if bi == nil {
+		bi = NewBlockIndex()
+	}
 	phi := pm.m
-	var rows []*Row
+	built := make(map[int]*TableRows, len(tableIDs))
+	var rows, fresh []*Row
+	var kept []*TableRows
 	for _, tid := range tableIDs {
 		t := b.Corpus.Table(tid)
 		if t == nil || t.LabelCol < 0 {
 			continue
 		}
-		implicit := b.implicitAttrs(t)
-		implicitOrder := kb.SortedPropertyIDs(implicit)
-		var tableLabels []string
-		for r := 0; r < t.NumRows(); r++ {
-			label := t.RowLabel(r)
-			norm := strsim.Normalize(label)
-			if norm == "" {
-				continue
-			}
-			tableLabels = append(tableLabels, norm)
-			bow := rowBOW(t, r)
-			row := &Row{
-				Ref:           webtable.RowRef{Table: tid, Row: r},
-				Label:         label,
-				NormLabel:     norm,
-				BOW:           bow,
-				Implicit:      implicit,
-				Prep:          strsim.PrepareCached(norm),
-				bowVec:        strsim.ToSparse(bow),
-				bowPrepared:   true,
-				implicitOrder: implicitOrder,
-			}
-			if m := b.Mapping[tid]; m != nil {
-				row.Values = extractValues(b.KB, b.Class, t, r, m)
-			} else {
-				row.Values = map[kb.PropertyID]dtype.Value{}
-			}
-			rows = append(rows, row)
+		cands := b.rowCandidates(t)
+		tr := offered[tid]
+		if tr != nil && maps.Equal(tr.mapping, b.Mapping[tid]) && slices.EqualFunc(tr.cands, cands, slices.Equal) {
+			kept = append(kept, tr)
+		} else {
+			tr = b.buildTable(tid, t, cands)
+			fresh = append(fresh, tr.rows...)
 		}
-		phi.addTable(tid, tableLabels)
+		built[tid] = tr
+		rows = append(rows, tr.rows...)
+		phi.addTable(tid, tr.labels)
 	}
 	phi.finalize()
 	// One sorted PHI vector per table, shared by all of its rows.
-	assignVectors(phi, rows)
-	bi := b.Blocks
-	if bi == nil {
-		bi = NewBlockIndex()
+	assignVectors(phi, fresh)
+	bi.Assign(fresh, blockK)
+	// Kept rows' labels are in the index already, so assigning fresh rows
+	// first adds the same labels in the same order as assigning all rows.
+	gen, size := phi.gen, bi.size()
+	var staleVec, staleBlocks []*Row
+	for _, tr := range kept {
+		if tr.phiGen != gen {
+			staleVec = append(staleVec, tr.rows...)
+		}
+		if tr.blockLabels != size {
+			staleBlocks = append(staleBlocks, tr.rows...)
+		}
 	}
-	bi.Assign(rows, blockK)
-	return rows
+	assignVectors(phi, staleVec)
+	bi.Assign(staleBlocks, blockK)
+	for _, tr := range built {
+		tr.phiGen, tr.blockLabels = gen, size
+	}
+	return rows, built
+}
+
+// buildTable prepares the rows of table t (ID tid) from its row label
+// candidates, without PHI vectors and blocks.
+func (b *Builder) buildTable(tid int, t *webtable.Table, cands [][]kb.InstanceID) *TableRows {
+	mapping := b.Mapping[tid]
+	tr := &TableRows{mapping: mapping, cands: cands}
+	implicit := b.implicitAttrs(cands)
+	implicitOrder := kb.SortedPropertyIDs(implicit)
+	for r := 0; r < t.NumRows(); r++ {
+		label := t.RowLabel(r)
+		norm := strsim.Normalize(label)
+		if norm == "" {
+			continue
+		}
+		tr.labels = append(tr.labels, norm)
+		bow := rowBOW(t, r)
+		row := &Row{
+			Ref:           webtable.RowRef{Table: tid, Row: r},
+			Label:         label,
+			NormLabel:     norm,
+			BOW:           bow,
+			Implicit:      implicit,
+			Prep:          strsim.PrepareCached(norm),
+			bowVec:        strsim.ToSparse(bow),
+			bowPrepared:   true,
+			implicitOrder: implicitOrder,
+		}
+		if mapping != nil {
+			row.Values = extractValues(b.KB, b.Class, t, r, mapping)
+		} else {
+			row.Values = map[kb.PropertyID]dtype.Value{}
+		}
+		tr.rows = append(tr.rows, row)
+	}
+	return tr
+}
+
+// rowCandidates retrieves the implicitCandidates KB candidates of each
+// labelled row of t, in row order.
+func (b *Builder) rowCandidates(t *webtable.Table) [][]kb.InstanceID {
+	var cands [][]kb.InstanceID
+	for r := 0; r < t.NumRows(); r++ {
+		if label := t.RowLabel(r); label != "" {
+			cands = append(cands, b.KB.Candidates(label, kb.CandidateOpts{K: implicitCandidates, Class: b.Class}))
+		}
+	}
+	return cands
 }
 
 // rowBOW builds the binary term vector over all cells of a row.
@@ -187,10 +276,11 @@ func sortedCols(mapping map[int]kb.PropertyID) []int {
 }
 
 // implicitAttrs derives the implicit property-value combinations of a table
-// (§3.2, IMPLICIT_ATT): row labels retrieve candidate instances; every
-// property-value combination of any candidate is scored by the fraction of
-// rows having it; combinations held by at least half the rows are kept.
-func (b *Builder) implicitAttrs(t *webtable.Table) map[kb.PropertyID]ImplicitAttr {
+// (§3.2, IMPLICIT_ATT) from the candidate instances its row labels
+// retrieve (rowCandidates): every property-value combination of any
+// candidate is scored by the fraction of rows having it; combinations held
+// by at least half the rows are kept.
+func (b *Builder) implicitAttrs(rowCands [][]kb.InstanceID) map[kb.PropertyID]ImplicitAttr {
 	type pv struct {
 		pid kb.PropertyID
 		key string
@@ -200,15 +290,9 @@ func (b *Builder) implicitAttrs(t *webtable.Table) map[kb.PropertyID]ImplicitAtt
 	// reps records, per property, the group-representative keys in
 	// first-seen order so that near-equal grouping is deterministic.
 	reps := make(map[kb.PropertyID][]pv)
-	n := 0
+	n := len(rowCands)
 	th := dtype.DefaultThresholds()
-	for r := 0; r < t.NumRows(); r++ {
-		label := t.RowLabel(r)
-		if label == "" {
-			continue
-		}
-		n++
-		cands := b.KB.Candidates(label, kb.CandidateOpts{K: implicitCandidates, Class: b.Class})
+	for _, cands := range rowCands {
 		// Deduplicate combinations across this row's candidates so one
 		// row contributes at most one unit of support per combination.
 		seen := make(map[pv]bool)

@@ -99,6 +99,9 @@ type Engine struct {
 	// revalidated counts memoized detections reused after a KB version
 	// change because the entity's candidate list was unchanged.
 	revalidated int
+	// reusedTables counts batch tables whose rows an iteration kept from
+	// the previous iteration of its epoch (see finishIteration).
+	reusedTables int
 	// scoredPairs counts the row-pair scores the epochs' score caches
 	// computed; with one cache per iteration instead of per epoch it would
 	// be higher by the scores served to a later iteration.
@@ -455,6 +458,20 @@ func (e *Engine) Fork() *Engine {
 // too. Any further iteration would receive the same input, so it is
 // skipped as well.
 //
+// Row reuse: short of the fixpoint, an iteration after the first keeps the
+// *cluster.Row objects of every batch table whose mapping is equal to the
+// previous iteration's and whose row labels each retrieve the same K=5 KB
+// candidates, and builds only the others (cluster.Builder.BuildReusing).
+// That is exact for the same reasons: a row reads only its immutable
+// table, the mapping, the facts of those candidates (the KB is
+// append-only, so a candidate's facts never change), the static class
+// schema, and the PHI vector and blocks, which do not move within an
+// epoch and are recomputed if they did. The candidates are compared
+// rather than assumed, because other classes' write-backs can grow the KB
+// mid-epoch. Kept rows are the same pointers, so the epoch's ScoreCache
+// serves their pair scores to the later iteration too. The offered tables
+// live in a variable of this call, so a cancelled epoch keeps none.
+//
 // The returned Output always covers all tables ingested so far, so a
 // single full-corpus batch is exactly a Pipeline.Run.
 //
@@ -491,6 +508,7 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 
 	var out *Output
 	var grown *cluster.Incremental
+	var built map[int]*cluster.TableRows
 	ran := 0
 	for it := 0; it < e.Cfg.Iterations; it++ {
 		model, matchers, mctx := e.passInputs(mc, out)
@@ -503,7 +521,7 @@ func (e *Engine) Ingest(ctx context.Context, batch []int) (*Output, IngestStats,
 			out.MatchScores = next.MatchScores
 			break
 		}
-		if grown, err = e.finishIteration(ctx, it+1, next, newIDs, cache); err != nil {
+		if grown, built, err = e.finishIteration(ctx, it+1, next, newIDs, cache, built); err != nil {
 			return nil, IngestStats{}, err
 		}
 		out = next
@@ -654,19 +672,23 @@ func sameBatchMatch(prev, next *Output, newIDs []int, scores bool) bool {
 // finishIteration completes a pass begun by matchBatch: row building for
 // the new tables, incremental clustering against a clone of the retained
 // state, then entity creation and new detection over the full ingested
-// set. It fills out and returns the grown clustering. Clustering scores
-// through cache, the epoch's ScoreCache.
-func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newIDs []int, cache *cluster.ScoreCache) (*cluster.Incremental, error) {
+// set. It fills out and returns the grown clustering and what the pass
+// built of each batch table. Clustering scores through cache, the epoch's
+// ScoreCache. offered holds the previous pass's tables (nil in the first
+// pass), whose rows are kept where their inputs are unchanged.
+func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newIDs []int, cache *cluster.ScoreCache, offered map[int]*cluster.TableRows) (*cluster.Incremental, map[int]*cluster.TableRows, error) {
 	// Row building for the new tables; retained rows are reused as built
-	// (their tables' mapping did not change). Blocking and PHI statistics
-	// persist across epochs: new rows block against every label seen so
-	// far, and after the batch extends the PHI model the retained rows'
-	// vectors are refreshed so all pair scores compare within one model.
-	// A later iteration re-adds the same batch, which leaves the model's
-	// generation, and so the vectors and the epoch's cached scores, as
-	// they were.
+	// (their tables' mapping did not change), and so are the previous
+	// pass's rows of every batch table whose mapping and row label
+	// candidates are unchanged (see Ingest, row reuse). Blocking and PHI
+	// statistics persist across epochs: new rows block against every label
+	// seen so far, and after the batch extends the PHI model the retained
+	// rows' vectors are refreshed so all pair scores compare within one
+	// model. A later iteration re-adds the same batch, which leaves the
+	// model's generation, and so the vectors, the kept rows and the epoch's
+	// cached scores, as they were.
 	if err := e.stage(ctx, it, StageBuild, len(newIDs)); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	builder := &cluster.Builder{
 		KB: e.Cfg.KB, Corpus: e.Cfg.Corpus, Class: e.Cfg.Class,
@@ -674,7 +696,12 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 		Blocks:  e.blocks,
 		Phi:     e.phi,
 	}
-	newRows := builder.Build(newIDs)
+	newRows, built := builder.BuildReusing(newIDs, offered)
+	for tid, tr := range built {
+		if offered[tid] == tr {
+			e.reusedTables++
+		}
+	}
 	// The refresh rewrites retained rows' TableVec in place; concurrent
 	// Last() snapshots read those fields under the read lock, so the
 	// mutation takes the write lock.
@@ -689,17 +716,17 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 	// the epoch's iterations each re-cluster the batch under a refined
 	// mapping).
 	if err := e.stage(ctx, it, StageCluster, len(newRows)); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	grown := e.clusters.Clone()
 	if err := grown.Add(ctx, newRows, cache); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out.Clustering = grown.Result()
 
 	// Entity creation over every cluster, retained and new.
 	if err := e.stage(ctx, it, StageFuse, len(out.Clustering.Clusters)); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	src := &fusion.Sources{
 		KB: e.Cfg.KB, Corpus: e.Cfg.Corpus, Class: e.Cfg.Class,
@@ -715,10 +742,10 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 	// independently on the pool, and RowInstance is then assembled serially
 	// in entity order.
 	if err := e.stage(ctx, it, StageDetect, len(out.Entities)); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.detectEntities(ctx, out, keys); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, ent := range out.Entities {
 		if res := out.Detections[i]; res.Matched {
@@ -727,7 +754,7 @@ func (e *Engine) finishIteration(ctx context.Context, it int, out *Output, newID
 			}
 		}
 	}
-	return grown, nil
+	return grown, built, nil
 }
 
 // stage is the boundary before stage s of iteration it. It returns ctx's

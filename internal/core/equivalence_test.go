@@ -81,8 +81,8 @@ func TestLSHEquivalenceOverScenarios(t *testing.T) {
 }
 
 // fullEpoch runs the next epoch of f without Ingest's shortcuts: every
-// configured iteration in full, every iteration's row pairs scored with a
-// fresh score cache, and every entity created and detected from scratch.
+// configured iteration in full, every iteration's rows built and their
+// pairs scored afresh, and every entity created and detected from scratch.
 // It also returns how many row-pair scores those caches computed.
 // f must be a throwaway fork; nothing is committed or written back.
 func fullEpoch(t *testing.T, f *Engine, batch []int) (*Output, int) {
@@ -101,7 +101,7 @@ func fullEpoch(t *testing.T, f *Engine, batch []int) (*Output, int) {
 			t.Fatal(err)
 		}
 		cache := cluster.NewScoreCache(f.phi)
-		if _, err := f.finishIteration(t.Context(), it+1, next, newIDs, cache); err != nil {
+		if _, _, err := f.finishIteration(t.Context(), it+1, next, newIDs, cache, nil); err != nil {
 			t.Fatal(err)
 		}
 		scored += cache.Scored()
@@ -115,18 +115,19 @@ func fullEpoch(t *testing.T, f *Engine, batch []int) (*Output, int) {
 // published output to equal a reference epoch computed on a fork with
 // every iteration run in full and every entity created and detected from
 // scratch, so a memoized entity reused across write-backs is checked
-// against a fresh fuse, and the epoch's shared score cache against
-// from-scratch scoring. It also requires that every shortcut fired: an
-// epoch ending at a mapping fixpoint, a detection reused after a
-// write-back because its candidate list was unchanged, and a row-pair
-// score served to a later iteration than the one that computed it. Such
-// reuse shows as an epoch that ran every iteration yet computed fewer
-// scores than the reference's per-iteration caches.
+// against a fresh fuse, the rows a later iteration kept against rows built
+// afresh, and the epoch's shared score cache against from-scratch scoring.
+// It also requires that every shortcut fired: an epoch ending at a mapping
+// fixpoint, a detection reused after a write-back because its candidate
+// list was unchanged, a batch table whose rows a later iteration kept, and
+// a row-pair score served to a later iteration than the one that computed
+// it. Such reuse shows as an epoch that ran every iteration yet computed
+// fewer scores than the reference's per-iteration caches.
 func TestEpochShortcutsMatchFullRecompute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams every scenario class twice; skipped in -short")
 	}
-	fixpoints, revalidated, reusedScores := 0, 0, 0
+	fixpoints, revalidated, reusedTables, reusedScores := 0, 0, 0, 0
 	// Matching scoring makes entity creation read the match scores, so the
 	// fixpoint must also compare them.
 	for _, scoring := range []fusion.ScoringMethod{fusion.Voting, fusion.Matching} {
@@ -165,14 +166,19 @@ func TestEpochShortcutsMatchFullRecompute(t *testing.T) {
 				reusedScores += fullScored - scored
 			}
 			revalidated += eng.revalidated
+			reusedTables += eng.reusedTables
 		}
 	}
-	t.Logf("fixpoint epochs %d, revalidated detections %d, reused row-pair scores %d", fixpoints, revalidated, reusedScores)
+	t.Logf("fixpoint epochs %d, revalidated detections %d, kept tables %d, reused row-pair scores %d",
+		fixpoints, revalidated, reusedTables, reusedScores)
 	if fixpoints == 0 {
 		t.Error("no epoch stopped at a mapping fixpoint")
 	}
 	if revalidated == 0 {
 		t.Error("no detection was reused by candidate revalidation")
+	}
+	if reusedTables == 0 {
+		t.Error("no later iteration kept a batch table's rows")
 	}
 	if reusedScores == 0 {
 		t.Error("the epoch score cache never served a later iteration")

@@ -238,9 +238,10 @@ func writeManifest(dir string, m Manifest) error {
 
 // removeUnreferenced deletes instance files in dir that the committed
 // manifest does not list — segments a crashed or superseded save left
-// behind, and stale AtomicWriteFile temporaries. Best effort: a file that
-// cannot be removed is retried by the next save or compaction, and never
-// corrupts the snapshot.
+// behind, and stale AtomicWriteFile temporaries — and then fsyncs dir once,
+// so a power cut does not bring the removed names back. Best effort: a
+// file that cannot be removed, or a removal lost with a failed fsync, is
+// retried by the next save or compaction, and never corrupts the snapshot.
 func removeUnreferenced(dir string, m Manifest) {
 	keep := make(map[string]bool, len(m.Segments))
 	for _, seg := range m.Segments {
@@ -250,6 +251,7 @@ func removeUnreferenced(dir string, m Manifest) {
 	if err != nil {
 		return
 	}
+	removed := false
 	for _, e := range ents {
 		name := e.Name()
 		if !e.Type().IsRegular() || keep[name] || name == snapshotManifestFile {
@@ -257,9 +259,20 @@ func removeUnreferenced(dir string, m Manifest) {
 		}
 		stale := (strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".ndjson")) ||
 			strings.Contains(name, ".tmp")
-		if path := filepath.Join(dir, name); stale && BeforeStep(StepRemove, path) == nil {
-			os.Remove(path)
+		if path := filepath.Join(dir, name); stale && BeforeStep(StepRemove, path) == nil && os.Remove(path) == nil {
+			removed = true
 		}
+	}
+	if !removed || BeforeStep(StepOpenDir, dir) != nil {
+		return
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return
+	}
+	defer d.Close()
+	if BeforeStep(StepFsyncDir, d.Name()) == nil {
+		d.Sync()
 	}
 }
 

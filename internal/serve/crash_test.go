@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -457,6 +459,22 @@ func TestCrashEveryDurableStep(t *testing.T) {
 		}
 		modes[cut.mode]++
 	}
+	// The snapshot's removal of unreferenced files ends with a directory
+	// fsync, after which a power cut leaves no segment the manifest does
+	// not list.
+	cleanups := 0
+	for _, cut := range ref.model.cuts {
+		if cut.mode != "power cut" || !afterCleanup(ref.steps, cut.step) {
+			continue
+		}
+		cleanups++
+		if orphans := unlistedSegments(t, cut.files); len(orphans) > 0 {
+			t.Errorf("power cut before step %d, %v: segments %v are not in the manifest", cut.step, ref.steps[cut.step], orphans)
+		}
+	}
+	if cleanups == 0 {
+		t.Error("no power cut follows a directory fsync after removing unreferenced files")
+	}
 
 	for i, st := range ref.steps {
 		run := &crashRun{dir: t.TempDir(), failAt: i}
@@ -487,6 +505,34 @@ func TestCrashEveryDurableStep(t *testing.T) {
 		}
 		h.close()
 	}
-	t.Logf("%d durable steps over %d operations, each failed with an error; crashes before them: %v",
-		len(ref.steps), len(crashOps), modes)
+	t.Logf("%d durable steps over %d operations, each failed with an error; crashes before them: %v; %d power cuts after an orphan cleanup",
+		len(ref.steps), len(crashOps), modes, cleanups)
+}
+
+// afterCleanup reports whether step i directly follows the directory
+// fsync that ends a removal of unreferenced snapshot files.
+func afterCleanup(steps []crashStep, i int) bool {
+	return i >= 3 && steps[i-1].kind == kb.StepFsyncDir && steps[i-2].kind == kb.StepOpenDir &&
+		steps[i-3].kind == kb.StepRemove
+}
+
+// unlistedSegments returns the segment files among files that the
+// manifest among them does not list, in name order.
+func unlistedSegments(t *testing.T, files map[string][]byte) []string {
+	var m kb.Manifest
+	if err := json.Unmarshal(files["manifest.json"], &m); err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	listed := make(map[string]bool, len(m.Segments))
+	for _, seg := range m.Segments {
+		listed[seg.File] = true
+	}
+	var out []string
+	for name := range files {
+		if strings.HasPrefix(name, "segment-") && !listed[name] {
+			out = append(out, name)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
