@@ -7,9 +7,10 @@
 //
 //	ltee-bench                             # full run, writes BENCH_hotpath.json
 //	ltee-bench -short                      # CI smoke: tiny benchtime
-//	ltee-bench -baseline BENCH_hotpath.json
-//	                                       # compare allocs/op against a
-//	                                       # previous run; exit 1 on regression
+//	ltee-bench -baseline bench_baseline.json
+//	                                       # gate allocs/op and extras against
+//	                                       # the committed baseline; exit 1 on
+//	                                       # regression
 //	ltee-bench -run 'ServeSearch' -out -   # subset, JSON to stdout
 //	ltee-bench -scale                      # corpus-scale benches + 2x gate
 //	ltee-bench -best 5                     # keep the best of 5 runs
@@ -29,10 +30,12 @@
 // internal/bench — the repo's tracked benchmark corpus is internal
 // tooling, not public API.
 //
-// The -baseline file is simply a previous output file: any tracked
-// benchmark present in both runs whose allocs/op exceeds the baseline by
-// more than -slack (default 25%) fails the run. allocs/op is the compared
-// metric because it is stable across machines; ns/op is recorded for
+// The -baseline file is simply a previous output file; the gate's
+// baseline is the committed bench_baseline.json, whose names equal the
+// registry's. Any tracked benchmark present in both runs whose allocs/op,
+// or any extra metric (b.ReportMetric), exceeds the baseline by more than
+// -slack (default 25%) fails the run. allocs/op is the compared metric
+// because it is stable across machines; ns/op is recorded for
 // trend-reading, not gating.
 package main
 

@@ -74,10 +74,11 @@ func TestRegressions(t *testing.T) {
 	}
 }
 
-// TestBaselineNamesRegistered: regressions skips baseline entries the run
-// did not produce, so a tracked benchmark renamed or dropped from the
-// registry would silently leave the gate. Every name the committed
-// baseline tracks must still be registered.
+// TestBaselineNamesRegistered: regressions skips benchmarks missing on
+// either side, so a tracked benchmark renamed or dropped from the registry
+// would silently leave the gate, and a registered one missing from the
+// baseline would never enter it. The committed baseline's names must equal
+// the registry's.
 func TestBaselineNamesRegistered(t *testing.T) {
 	base, err := loadReport("../../bench_baseline.json")
 	if err != nil {
@@ -87,9 +88,16 @@ func TestBaselineNamesRegistered(t *testing.T) {
 	for _, nb := range append(bench.All(), bench.Scale()...) {
 		registered[nb.Name] = true
 	}
+	tracked := make(map[string]bool)
 	for _, r := range base.Benchmarks {
+		tracked[r.Name] = true
 		if !registered[r.Name] {
 			t.Errorf("baseline benchmark %q is not registered in bench.All or bench.Scale", r.Name)
+		}
+	}
+	for _, nb := range append(bench.All(), bench.Scale()...) {
+		if !tracked[nb.Name] {
+			t.Errorf("registered benchmark %q is missing from bench_baseline.json", nb.Name)
 		}
 	}
 	if len(base.Benchmarks) == 0 {

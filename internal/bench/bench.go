@@ -45,6 +45,7 @@ func All() []Named {
 		{Name: "MongeElkanSym", Fn: MongeElkanSym},
 		{Name: "TermVector", Fn: TermVector},
 		{Name: "ClusterGreedy", Fn: ClusterGreedy},
+		{Name: "ClusterKLj", Fn: ClusterKLj},
 		{Name: "IngestBatch", Fn: IngestBatch},
 		{Name: "IngestEpoch", Fn: IngestEpoch},
 		{Name: "ServeSearch/cold", Fn: ServeSearchCold},
@@ -124,6 +125,27 @@ func ClusterGreedy(b *testing.B) {
 			b.Fatal("no clusters")
 		}
 	}
+}
+
+// ClusterKLj measures one Incremental.Add of the GF-Player rows with the
+// KLj refinement on, through an explicit ScoreCache, and reports the
+// row-pair scores the cache computed for the refinement (pair-scores/op).
+// That count is the scoring work an epoch's KLj pays; allocs/op and ns/op
+// do not resolve it, so it is the gated figure.
+func ClusterKLj(b *testing.B) {
+	f := pipeFixture(b)
+	opts := cluster.NewOptions()
+	scored := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache := cluster.NewScoreCache(nil)
+		if err := cluster.NewIncremental(f.scorer, opts).Add(b.Context(), f.rows, cache); err != nil {
+			b.Fatal(err)
+		}
+		scored += cache.Scored()
+	}
+	b.ReportMetric(float64(scored)/float64(b.N), "pair-scores/op")
 }
 
 // ingestFix holds an engine that has already ingested the first half of

@@ -4,7 +4,8 @@ import "sync"
 
 // ScoreCache memoizes row-pair scoring across the Incremental.Adds of one
 // ingest epoch. It holds:
-//   - the directed row-pair scores of the serial KLj refinement;
+//   - the row-pair scores of the serial KLj refinement, one per unordered
+//     pair;
 //   - behind them, one metricMemo of PHI table-pair values and fact-value
 //     string similarities;
 //   - the per-worker scratch of the parallel greedy pass, each with a
@@ -17,6 +18,13 @@ import "sync"
 // generation moves (a batch added PHI statistics). The
 // cache records the generation it was filled under and starts empty under
 // another, so a refreshed vector is never paired with a stale score.
+//
+// One entry serves both argument orders. That is exact because a Scorer is
+// symmetric: Features(a, b) and Features(b, a) are bitwise equal, so
+// Pair(a, b) == Pair(b, a) under every aggregator. The cache still scores
+// each pair in one canonical order, the row with the smaller Ref first.
+// Two rows with the same Ref are the old and new versions of one row, and
+// they never meet in one clusterer.
 //
 // The ingestion engine makes one per Ingest call and drops it when the call
 // returns, so nothing outlives the epoch: the epoch's pipeline iterations
@@ -45,9 +53,10 @@ func NewScoreCache(phi *PhiModel) *ScoreCache {
 	return &ScoreCache{phi: phi}
 }
 
-// Scored returns how many row-pair scores the cache has computed for the
-// KLj refinement. Adds sharing the cache compute fewer than the same Adds
-// with a fresh cache each, by the scores the cache served to a later Add.
+// Scored returns how many unordered row-pair scores the cache has computed
+// for the KLj refinement. Adds sharing the cache compute fewer than the
+// same Adds with a fresh cache each, by the scores the cache served to a
+// later Add.
 func (sc *ScoreCache) Scored() int { return sc.scored }
 
 // begin readies the cache for one Add scored by s, emptying it when the
@@ -61,9 +70,12 @@ func (sc *ScoreCache) begin(s *Scorer) {
 	}
 }
 
-// pair returns the scorer's score of the directed pair (a, b), computing
-// it at most once per cache lifetime.
+// pair returns the scorer's score of the pair {a, b}, computing it at most
+// once per cache lifetime for both argument orders.
 func (sc *ScoreCache) pair(a, b *Row) float64 {
+	if refLess(b.Ref, a.Ref) {
+		a, b = b, a
+	}
 	k := [2]*Row{a, b}
 	if v, ok := sc.rows[k]; ok {
 		return v

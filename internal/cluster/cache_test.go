@@ -3,7 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -77,10 +80,10 @@ func TestMetricMemoEqualMatchesThresholdsEqual(t *testing.T) {
 
 // cacheFixture returns a scorer over all six metrics and the rows of the
 // fixture world's song tables, mapped by their ground-truth column
-// properties so the value metrics have facts to compare. build builds a
-// set of tables into fresh rows against the given PHI model and block
-// index, as the engine's Builder does.
-func cacheFixture(t *testing.T) (*Scorer, []int, func(phi *PhiModel, blocks *BlockIndex, tids []int) []*Row) {
+// properties so the value metrics have facts to compare. newBuilder
+// returns a Builder of those tables against the given PHI model and block
+// index, as the engine makes one.
+func cacheFixture(t *testing.T) (*Scorer, []int, func(phi *PhiModel, blocks *BlockIndex) *Builder) {
 	t.Helper()
 	w, corpus := testWorldCorpus()
 	class := kb.ClassSong
@@ -111,20 +114,109 @@ func cacheFixture(t *testing.T) (*Scorer, []int, func(phi *PhiModel, blocks *Blo
 		weights[i] = 1
 	}
 	scorer := &Scorer{Metrics: metrics, Agg: &agg.WeightedAverage{Weights: weights, Threshold: 0.6}}
-	build := func(phi *PhiModel, blocks *BlockIndex, ids []int) []*Row {
-		b := &Builder{KB: w.KB, Corpus: corpus, Class: class, Mapping: mapping, Phi: phi, Blocks: blocks}
-		return b.Build(ids)
+	newBuilder := func(phi *PhiModel, blocks *BlockIndex) *Builder {
+		return &Builder{KB: w.KB, Corpus: corpus, Class: class, Mapping: mapping, Phi: phi, Blocks: blocks}
 	}
-	return scorer, tids, build
+	return scorer, tids, newBuilder
 }
 
 // checkCacheEntries requires every row-pair score the cache holds to equal
-// the scorer's fresh score of the pair as the rows stand now.
+// the scorer's fresh score of the pair as the rows stand now, and no pair
+// to be stored in both orders.
 func checkCacheEntries(t *testing.T, sc *ScoreCache) {
 	t.Helper()
 	for k, got := range sc.rows {
 		if want := sc.scorer.Pair(k[0], k[1]); got != want {
 			t.Fatalf("cached score of %v/%v = %v, fresh %v", k[0].Ref, k[1].Ref, got, want)
+		}
+		if _, ok := sc.rows[[2]*Row{k[1], k[0]}]; ok && k[0] != k[1] {
+			t.Fatalf("pair %v/%v is stored in both orders", k[0].Ref, k[1].Ref)
+		}
+	}
+}
+
+// TestScorerSymmetric requires the Scorer's symmetry contract, on which
+// ScoreCache's one entry per unordered pair rests: every metric returns
+// bitwise equal scores and confidences for (a, b) and (b, a), and the
+// memoized pairMemo equals Pair in both orders. The rows are
+// builder-prepared rows, rows BuildReusing kept (their vectors rewritten in
+// place under a new PHI generation) and hand-built rows with no Prep, whose
+// implicit attributes make IMPLICIT_ATT's confidence sum depend on the
+// order it adds them in; every pair of them is checked under the fixture's
+// weighted average and under a learned agg.Combined, whose forest reads
+// the confidences.
+func TestScorerSymmetric(t *testing.T) {
+	scorer, tids, newBuilder := cacheFixture(t)
+	b := newBuilder(NewPhiModel(), NewBlockIndex())
+	half := len(tids) / 2
+	_, first := b.BuildReusing(tids[:half], nil)
+	all, tables := b.BuildReusing(tids, first)
+	var rows []*Row
+	nKept := 0
+	for _, tid := range tids {
+		tr := tables[tid]
+		if tr == nil {
+			continue
+		}
+		if tr == first[tid] {
+			nKept++
+		}
+		// A few rows per table keep the pair count small.
+		rows = append(rows, tr.rows[:min(len(tr.rows), 4)]...)
+	}
+	if nKept == 0 {
+		t.Fatal("BuildReusing kept no table")
+	}
+	implicit := func(scores map[int]float64) map[kb.PropertyID]ImplicitAttr {
+		m := map[kb.PropertyID]ImplicitAttr{}
+		for i, sc := range scores {
+			m[kb.PropertyID(fmt.Sprintf("dbo:p%d", i))] = ImplicitAttr{Value: dtype.NewText("x"), Score: sc}
+		}
+		return m
+	}
+	values := func(pids ...int) map[kb.PropertyID]dtype.Value {
+		m := map[kb.PropertyID]dtype.Value{}
+		for _, i := range pids {
+			m[kb.PropertyID(fmt.Sprintf("dbo:p%d", i))] = dtype.NewText("x")
+		}
+		return m
+	}
+	// (0.1 + 0.7) + 0.2 and (0.2 + 0.1) + 0.7 differ in the last bit.
+	h1 := mkRow(9001, 0, "Tom Brady", values(2))
+	h1.Implicit = implicit(map[int]float64{0: 0.1, 1: 0.7})
+	h2 := mkRow(9002, 3, "Tom Bradey", values(0, 1))
+	h2.Implicit = implicit(map[int]float64{2: 0.2})
+	h3 := mkRow(9002, 1, all[0].Label, values(0, 1, 2))
+	h3.Implicit = implicit(map[int]float64{0: 0.3, 1: 0.6, 2: 0.1})
+	rows = append(rows, h1, h2, h3)
+
+	var examples []PairExample
+	for i := 0; i+1 < len(rows); i++ {
+		examples = append(examples, PairExample{A: rows[i], B: rows[i+1], Match: i%3 == 0})
+	}
+	learned, _ := LearnScorer(scorer.Metrics, examples, 1)
+	for _, s := range []*Scorer{scorer, learned} {
+		memo := newMetricMemo(s)
+		for i, a := range rows {
+			for _, b := range rows[i+1:] {
+				fab, fba := s.Features(a, b), s.Features(b, a)
+				for m, mt := range s.Metrics {
+					if math.Float64bits(fab.Scores[m]) != math.Float64bits(fba.Scores[m]) ||
+						math.Float64bits(fab.Confs[m]) != math.Float64bits(fba.Confs[m]) {
+						t.Fatalf("%s(%v, %v) = %v/%v, reversed %v/%v", mt.Name(), a.Ref, b.Ref,
+							fab.Scores[m], fab.Confs[m], fba.Scores[m], fba.Confs[m])
+					}
+				}
+				p := s.Pair(a, b)
+				if r := s.Pair(b, a); math.Float64bits(p) != math.Float64bits(r) {
+					t.Fatalf("%T: Pair(%v, %v) = %v, reversed %v", s.Agg, a.Ref, b.Ref, p, r)
+				}
+				for _, m := range [][2]*Row{{a, b}, {b, a}} {
+					if v := s.pairMemo(m[0], m[1], memo); math.Float64bits(v) != math.Float64bits(p) {
+						t.Fatalf("%T: pairMemo(%v, %v) = %v, Pair %v", s.Agg, m[0].Ref, m[1].Ref, v, p)
+					}
+				}
+			}
 		}
 	}
 }
@@ -139,7 +231,7 @@ func checkCacheEntries(t *testing.T, sc *ScoreCache) {
 // over. The greedy pass runs on two workers, so under -race this also
 // checks the per-worker scratch.
 func TestScoreCacheSharedAddsMatchFreshCaches(t *testing.T) {
-	scorer, tids, build := cacheFixture(t)
+	scorer, tids, newBuilder := cacheFixture(t)
 	opts := NewOptions()
 	opts.Workers = 2
 	half := len(tids) / 2
@@ -147,9 +239,9 @@ func TestScoreCacheSharedAddsMatchFreshCaches(t *testing.T) {
 		phi, blocks := NewPhiModel(), NewBlockIndex()
 		var first, second []*Row
 		if moveGen {
-			first = build(phi, blocks, tids[:half])
+			first = newBuilder(phi, blocks).Build(tids[:half])
 		} else {
-			rows := build(phi, blocks, tids)
+			rows := newBuilder(phi, blocks).Build(tids)
 			first, second = rows[:len(rows)/2], rows[len(rows)/2:]
 		}
 		cache := NewScoreCache(phi)
@@ -159,7 +251,7 @@ func TestScoreCacheSharedAddsMatchFreshCaches(t *testing.T) {
 		}
 		if moveGen {
 			gen := phi.generation()
-			second = build(phi, blocks, tids[half:])
+			second = newBuilder(phi, blocks).Build(tids[half:])
 			if phi.generation() == gen {
 				t.Fatal("a batch of new tables left the PHI generation unchanged")
 			}
@@ -198,11 +290,11 @@ func TestScoreCacheSharedAddsMatchFreshCaches(t *testing.T) {
 // to leave the PHI generation, and with it every vector, unchanged, and
 // Refresh to skip at an unchanged generation.
 func TestPhiRebuildKeepsGeneration(t *testing.T) {
-	_, tids, build := cacheFixture(t)
+	_, tids, newBuilder := cacheFixture(t)
 	phi, blocks := NewPhiModel(), NewBlockIndex()
-	first := build(phi, blocks, tids[:len(tids)-1])
+	first := newBuilder(phi, blocks).Build(tids[:len(tids)-1])
 	gen := phi.generation()
-	again := build(phi, blocks, tids[:len(tids)-1])
+	again := newBuilder(phi, blocks).Build(tids[:len(tids)-1])
 	if phi.generation() != gen {
 		t.Fatalf("rebuilding the same tables moved the generation %d -> %d", gen, phi.generation())
 	}
@@ -218,14 +310,18 @@ func TestPhiRebuildKeepsGeneration(t *testing.T) {
 	if !reflect.DeepEqual(first[0].TableVec, tampered) {
 		t.Fatal("Refresh rewrote vectors at an unchanged generation")
 	}
-	build(phi, blocks, tids[len(tids)-1:])
+	newBuilder(phi, blocks).Build(tids[len(tids)-1:])
 	if phi.generation() == gen {
 		t.Fatal("adding a new table left the generation unchanged")
 	}
 }
 
-// cancelMetric cancels its context on the n-th comparison.
+// cancelMetric cancels its context on the n-th comparison. Counting and
+// cancelling are one step under mu: otherwise the worker that counted the
+// n-th call can be preempted before it cancels while the other worker
+// scores the rest of the batch, and the fan-out then rightly completes.
 type cancelMetric struct {
+	mu     *sync.Mutex
 	calls  *atomic.Int32
 	n      int32
 	cancel context.CancelFunc
@@ -234,6 +330,8 @@ type cancelMetric struct {
 func (cancelMetric) Name() string { return "CANCEL" }
 
 func (m cancelMetric) Compare(a, b *Row) (float64, float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.calls.Add(1) == m.n {
 		m.cancel()
 	}
@@ -248,7 +346,7 @@ func TestGreedyCancelMidBatch(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int32
 		s := &Scorer{
-			Metrics: []Metric{cancelMetric{calls: &calls, n: 3, cancel: cancel}},
+			Metrics: []Metric{cancelMetric{mu: new(sync.Mutex), calls: &calls, n: 3, cancel: cancel}},
 			Agg:     &agg.WeightedAverage{Weights: []float64{1}, Threshold: 0.5},
 		}
 		opts := Options{Workers: workers, BatchSize: 64, Blocking: true}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestClusterCtxCancelled(t *testing.T) {
 	defer cancel()
 	var calls atomic.Int32
 	s := &Scorer{
-		Metrics: []Metric{cancelMetric{calls: &calls, n: 3, cancel: cancel}},
+		Metrics: []Metric{cancelMetric{mu: new(sync.Mutex), calls: &calls, n: 3, cancel: cancel}},
 		Agg:     &agg.WeightedAverage{Weights: []float64{1}, Threshold: 0.5},
 	}
 	var rows []*Row

@@ -247,13 +247,7 @@ func (c *clusterer) result() *Clustering {
 		id := len(out.Clusters)
 		members := make([]*Row, len(cl.rows))
 		copy(members, cl.rows)
-		sort.Slice(members, func(i, j int) bool {
-			a, b := members[i].Ref, members[j].Ref
-			if a.Table != b.Table {
-				return a.Table < b.Table
-			}
-			return a.Row < b.Row
-		})
+		sort.Slice(members, func(i, j int) bool { return refLess(members[i].Ref, members[j].Ref) })
 		out.Clusters = append(out.Clusters, members)
 		for _, r := range members {
 			out.Assign[r.Ref] = id

@@ -243,11 +243,12 @@ func (c *clusterer) trySplit(ci int) bool {
 }
 
 // pairScore is Scorer.Pair through the Add's ScoreCache: identical floats,
-// each distinct directed pair computed at most once per epoch. The
-// refinement re-reads the same products many times — a cluster's internal
-// attachment sums are recomputed against every block neighbor, and a
-// failed merge's cross products are immediately re-read by the move pass —
-// and the epoch's next pipeline iteration re-reads every retained pair.
+// each unordered pair computed at most once per epoch (the Scorer is
+// symmetric, so pairScore(ra, rb) == pairScore(rb, ra)). The refinement
+// re-reads the same products many times — a cluster's internal attachment
+// sums are recomputed against every block neighbor, a failed merge's cross
+// products are immediately re-read, reversed, by the move pass — and the
+// epoch's next pipeline iteration re-reads every retained pair.
 func (c *clusterer) pairScore(ra, rb *Row) float64 {
 	return c.cache.pair(ra, rb)
 }

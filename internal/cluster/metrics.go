@@ -4,11 +4,13 @@ import (
 	"repro/internal/dtype"
 	"repro/internal/kb"
 	"repro/internal/strsim"
+	"repro/internal/webtable"
 )
 
 // Metric is one row similarity metric. Compare returns a similarity score
 // in [0, 1] and a confidence; confidence 0 means the metric has no signal
-// for this pair (aggregators may then ignore or down-weight it).
+// for this pair (aggregators may then ignore or down-weight it). Compare
+// must be symmetric: (a, b) and (b, a) give bitwise equal results.
 type Metric interface {
 	Name() string
 	Compare(a, b *Row) (score, confidence float64)
@@ -115,7 +117,10 @@ func (m attributeMetric) compareMemo(a, b *Row, memo *metricMemo) (float64, floa
 
 // IMPLICIT_ATT: compares the implicit attributes of one row's table with
 // overlapping implicit attributes and column attributes of the other row,
-// in both directions.
+// in both directions. The score is a ratio of integer counts; the
+// confidence sums floats, so the two directions run in a canonical order
+// (the row with the smaller Ref first) and Compare(a, b) and Compare(b, a)
+// return identical floats, as the Scorer's symmetry contract requires.
 type implicitMetric struct {
 	th dtype.Thresholds
 }
@@ -157,6 +162,9 @@ func (m implicitMetric) compareMemo(a, b *Row, memo *metricMemo) (float64, float
 			}
 		}
 	}
+	if refLess(b.Ref, a.Ref) {
+		a, b = b, a
+	}
 	direction(a, b)
 	direction(b, a)
 	if pairs == 0 {
@@ -176,4 +184,13 @@ func (sameTableMetric) Compare(a, b *Row) (float64, float64) {
 		return 0, 1
 	}
 	return 1, 1
+}
+
+// refLess orders row references by table, then row: the canonical order of
+// a row pair.
+func refLess(a, b webtable.RowRef) bool {
+	if a.Table != b.Table {
+		return a.Table < b.Table
+	}
+	return a.Row < b.Row
 }

@@ -12,6 +12,11 @@ import (
 // use (the greedy pass scores batches in parallel) and allocation-free:
 // feature vectors cycle through a pool, which agg.Aggregator's contract
 // (Score must not retain the slices) makes safe.
+//
+// A Scorer is symmetric: every metric of MetricSet returns bitwise equal
+// scores and confidences for (a, b) and (b, a), so Features, Pair and
+// pairMemo do too, under every aggregator. ScoreCache relies on it to
+// keep one score per unordered row pair; TestScorerSymmetric checks it.
 type Scorer struct {
 	Metrics []Metric
 	Agg     agg.Aggregator

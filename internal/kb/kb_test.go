@@ -85,6 +85,77 @@ func TestTypeOverlap(t *testing.T) {
 	}
 }
 
+// sharesParentRef and typeOverlapRef are SharesParent and TypeOverlap as
+// sets over Ancestors, the references for the chain walks.
+func sharesParentRef(k *KB, a, b ClassID) bool {
+	if a == b {
+		return true
+	}
+	setA := map[ClassID]bool{a: true}
+	for _, x := range k.Ancestors(a) {
+		setA[x] = true
+	}
+	for _, x := range append([]ClassID{b}, k.Ancestors(b)...) {
+		if x != ClassThing && setA[x] {
+			return true
+		}
+	}
+	ca, cb := k.Class(a), k.Class(b)
+	return ca != nil && cb != nil && ca.Parent != "" && ca.Parent == cb.Parent
+}
+
+func typeOverlapRef(k *KB, a, b ClassID) float64 {
+	chain := func(id ClassID) map[ClassID]bool {
+		s := map[ClassID]bool{id: true}
+		for _, x := range k.Ancestors(id) {
+			if x != ClassThing {
+				s[x] = true
+			}
+		}
+		return s
+	}
+	sa, sb := chain(a), chain(b)
+	inter := 0
+	for x := range sa {
+		if sb[x] {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(sa)+len(sb)-inter)
+}
+
+// TestClassHierarchyChecksMatchSets holds SharesParent and TypeOverlap to
+// their set references over every pair of the ontology's classes, Thing,
+// an unknown class and a class whose parent is unknown, and requires both
+// checks to allocate nothing: they run per candidate hit and per TYPE
+// comparison of new detection.
+func TestClassHierarchyChecksMatchSets(t *testing.T) {
+	k := New()
+	k.AddClass(&Class{ID: "test:Orphan", Parent: "test:Missing"})
+	k.AddClass(&Class{ID: "test:OrphanChild", Parent: "test:Orphan"})
+	k.AddClass(&Class{ID: "test:Rookie", Parent: ClassGFPlayer})
+	classes := append(k.Classes(), "test:Unknown", "test:Missing")
+	for _, a := range classes {
+		for _, b := range classes {
+			if got, want := k.SharesParent(a, b), sharesParentRef(k, a, b); got != want {
+				t.Errorf("SharesParent(%s, %s) = %v, want %v", a, b, got, want)
+			}
+			if got, want := k.TypeOverlap(a, b), typeOverlapRef(k, a, b); got != want {
+				t.Errorf("TypeOverlap(%s, %s) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		k.SharesParent("test:Rookie", ClassSong)
+		k.SharesParent(ClassSettlement, ClassRegion)
+		k.TypeOverlap("test:Rookie", ClassAthlete)
+		k.TypeOverlap(ClassSettlement, ClassSong)
+	})
+	if allocs != 0 {
+		t.Errorf("hierarchy checks allocate %v times per run, want 0", allocs)
+	}
+}
+
 func TestPropertyLookup(t *testing.T) {
 	k := New()
 	p, ok := k.Property(ClassGFPlayer, "dbo:position")

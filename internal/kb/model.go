@@ -225,17 +225,33 @@ func (kb *KB) Classes() []ClassID {
 func (kb *KB) Ancestors(id ClassID) []ClassID {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	return kb.ancestorsLocked(id)
-}
-
-func (kb *KB) ancestorsLocked(id ClassID) []ClassID {
 	var out []ClassID
-	c := kb.classes[id]
-	for c != nil && c.Parent != "" {
-		out = append(out, c.Parent)
-		c = kb.classes[c.Parent]
+	for p, ok := kb.parentLocked(id); ok; p, ok = kb.parentLocked(p) {
+		out = append(out, p)
 	}
 	return out
+}
+
+// parentLocked returns the parent of class id; false for the root and for
+// an unknown class. Walking it from id visits id's ancestors, the chain
+// Ancestors returns, without building it: the hierarchy checks below run
+// per candidate hit and per TYPE comparison, and allocate nothing.
+func (kb *KB) parentLocked(id ClassID) (ClassID, bool) {
+	c := kb.classes[id]
+	if c == nil || c.Parent == "" {
+		return "", false
+	}
+	return c.Parent, true
+}
+
+// inChainLocked reports whether x is id or one of its ancestors.
+func (kb *KB) inChainLocked(x, id ClassID) bool {
+	for y, ok := id, true; ok; y, ok = kb.parentLocked(y) {
+		if y == x {
+			return true
+		}
+	}
+	return false
 }
 
 // SharesParent reports whether class a equals b or either is an ancestor of
@@ -252,51 +268,41 @@ func (kb *KB) sharesParentLocked(a, b ClassID) bool {
 	if a == b {
 		return true
 	}
-	ancA := append([]ClassID{a}, kb.ancestorsLocked(a)...)
-	ancB := append([]ClassID{b}, kb.ancestorsLocked(b)...)
-	setA := make(map[ClassID]bool, len(ancA))
-	for _, x := range ancA {
-		setA[x] = true
-	}
-	for _, x := range ancB {
-		if x == ClassThing {
-			continue // everything shares Thing; too weak
-		}
-		if setA[x] {
+	for x, ok := b, true; ok; x, ok = kb.parentLocked(x) {
+		// Everything shares Thing; too weak.
+		if x != ClassThing && kb.inChainLocked(x, a) {
 			return true
 		}
 	}
-	ca, cb := kb.classes[a], kb.classes[b]
-	return ca != nil && cb != nil && ca.Parent != "" && ca.Parent == cb.Parent
+	pa, okA := kb.parentLocked(a)
+	pb, okB := kb.parentLocked(b)
+	return okA && okB && pa == pb
 }
 
 // TypeOverlap computes the paper's TYPE metric: the overlap of the
 // candidate instance's class chain with the entity's class chain, as the
-// Jaccard of the two ancestor sets (root excluded).
+// Jaccard of the two ancestor sets (root excluded). A class's set is the
+// class itself and its ancestors other than Thing; a chain never repeats a
+// class, so walking it counts the set.
 func (kb *KB) TypeOverlap(a, b ClassID) float64 {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	chain := func(id ClassID) map[ClassID]bool {
-		s := map[ClassID]bool{id: true}
-		for _, x := range kb.ancestorsLocked(id) {
-			if x != ClassThing {
-				s[x] = true
+	na, nb, inter := 0, 0, 0
+	for x, ok := a, true; ok; x, ok = kb.parentLocked(x) {
+		if x == a || x != ClassThing {
+			na++
+			if (x == b || x != ClassThing) && kb.inChainLocked(x, b) {
+				inter++
 			}
 		}
-		return s
 	}
-	sa, sb := chain(a), chain(b)
-	inter := 0
-	for x := range sa {
-		if sb[x] {
-			inter++
+	for x, ok := b, true; ok; x, ok = kb.parentLocked(x) {
+		if x == b || x != ClassThing {
+			nb++
 		}
 	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	// na >= 1: a is in its own set.
+	return float64(inter) / float64(na+nb-inter)
 }
 
 // Property looks up a property in the schema of class id (or its ancestors).
